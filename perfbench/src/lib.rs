@@ -3,16 +3,17 @@
 //!
 //! | workload      | what runs                                                        |
 //! |---------------|------------------------------------------------------------------|
-//! | `grid_deep`   | `grid2d(320, 320)` at `(ε, κ, ρ) = (0.5, 10, 0.45)`, CONGEST, flat store, 1 lane: thin rounds, Algorithm 1 pipelining dominates, ruling sets non-empty in phases 0 and 1 |
+//! | `grid_deep`   | `grid2d(240, 240)` at `(ε, κ, ρ) = (0.5, 10, 0.45)`, CONGEST, flat store, 1 lane: thin rounds, Algorithm 1 pipelining dominates, ruling sets non-empty in phases 0 and 1 |
 //! | `hub_wide`    | `preferential_attachment(300 000, 4, 42)` at `(0.5, 4, 0.45)`, CONGEST, flat store, 2 lanes: fat merged rounds on skewed hubs, broadcast records, lane sharding |
-//! | `serve_mixed` | in-process nas-serve on `gnp(20 000, deg 8)`: open-loop point reads at 250/s, a closed-loop `/batch` client and three live `/rebuild`s on 2 cores |
+//! | `serve_mixed` | in-process nas-serve on `gnp(20 000, deg 8)`: open-loop point reads at 250/s, a closed-loop `/batch` client and a live `/rebuild` every 4 s on 2 cores |
 //!
 //! Every workload runs the same pipeline — set-up, build, audit, queries —
 //! so every metric has a value on every workload:
 //!
-//! * the build workloads time `Session::run`, audit with
-//!   `stretch_audit_sampled`, then query the built spanner through an
-//!   in-process `SpannerOracle` (cold point queries and 64-pair batches);
+//! * the build workloads alternate `Session::run` builds with blocks of
+//!   graph generations and `stretch_audit_sampled` audits until the budget
+//!   is spent, then query the built spanner through an in-process
+//!   `SpannerOracle` (cold point queries and 64-pair batches);
 //! * `serve_mixed` starts the daemon (set-up = start plus first build),
 //!   drives loopback HTTP load while `POST /rebuild`s run (build = one
 //!   rebuild as the client sees it), and audits the served spanner over
@@ -31,10 +32,9 @@
 //! run reports per-layer metrics instead of end-to-end ones.
 //!
 //! The input graphs are fixed per workload, so runs on different `--seed`s
-//! measure the same construction; the seed drives the query streams.
-//! `--graph-seed` re-seeds the random graphs (`hub_wide`, `serve_mixed`) to
-//! re-check a claim on unseen inputs: at 10^6 vertices the `hub_wide` message
-//! count moves by ±25% between generator seeds, far beyond any useful bound.
+//! measure the same construction and the round, message and edge counts
+//! repeat exactly; the seed drives the query streams. (Re-seeding the
+//! `hub_wide` generator moves its message count by up to ±25%.)
 
 pub mod builds;
 pub mod serve;
@@ -62,7 +62,7 @@ pub const END_TO_END: [(&str, &str); 8] = [
 ];
 
 /// Per-layer metrics `(name, unit)`: printed with `--trace 1`.
-pub const PER_LAYER: [(&str, &str); 31] = [
+pub const PER_LAYER: [(&str, &str); 37] = [
     ("core.algo1.wall_s", "s"),
     ("core.algo1.rounds_executed", "count"),
     ("core.algo1.messages", "count"),
@@ -85,13 +85,19 @@ pub const PER_LAYER: [(&str, &str); 31] = [
     ("congest.merge_ratio", "ratio"),
     ("graph.generate_s", "s"),
     ("metrics.audit_mvert_per_s", "Mvert/s"),
+    ("metrics.oracle.hit_ratio", "ratio"),
+    ("metrics.oracle.traversals", "count"),
+    ("metrics.oracle.query_p50_us", "us"),
+    ("metrics.oracle.query_p99_us", "us"),
+    ("metrics.oracle.batch_p50_us", "us"),
+    ("metrics.oracle.batch_pairs_per_s", "1/s"),
     ("serve.oracle.hit_ratio", "ratio"),
     ("serve.oracle.traversals", "count"),
     ("serve.query_p50_us", "us"),
-    ("serve.batch_pairs_per_s", "1/s"),
-    ("serve.batch_p50_us", "us"),
     ("serve.query_p99_us", "us"),
     ("serve.query_p99_us.during_rebuild", "us"),
+    ("serve.batch_p50_us", "us"),
+    ("serve.batch_pairs_per_s", "1/s"),
     ("loadgen.max_lag_ms", "ms"),
     ("trace.overhead_pct", "%"),
 ];
@@ -107,10 +113,9 @@ pub struct Config {
     pub seconds: f64,
     /// Emit per-layer metrics from an extra traced build.
     pub trace: bool,
-    /// Tiny inputs, every check on — the self-test configuration.
+    /// Tiny inputs, every check on — the self-test configuration; the
+    /// command line always runs full size.
     pub smoke: bool,
-    /// Overrides the generator seed of the random graphs.
-    pub graph_seed: Option<u64>,
 }
 
 /// Operations attempted and failed; every guarantee check is one operation.

@@ -1,10 +1,9 @@
-//! `perfbench --workload W --seed N --seconds S --trace 0|1 [--smoke]
-//! [--graph-seed G]`
+//! `perfbench --workload W --seed N --seconds S --trace 0|1`
 //!
 //! Run from the repository root, e.g.
 //! `cargo run --release --manifest-path perfbench/Cargo.toml -- --workload
-//! grid_deep --seed 1 --seconds 12 --trace 0`. Prints a stamp line
-//! (`perfbench-record {...}`: workload, seeds, lanes, store, source
+//! grid_deep --seed 1 --seconds 25 --trace 0`. Prints a stamp line
+//! (`perfbench-record {...}`: workload, seed, lanes, store, source
 //! revision, rustc, nproc, per-phase regime) and, as the last line, the
 //! result object `{"correct","attempted","failed","metrics"}`.
 
@@ -13,7 +12,7 @@ use std::process::ExitCode;
 
 fn usage() -> String {
     format!(
-        "usage: perfbench --workload <{}> --seed <n> --seconds <s> --trace <0|1> [--smoke] [--graph-seed <n>]",
+        "usage: perfbench --workload <{}> --seed <n> --seconds <s> --trace <0|1>",
         WORKLOADS.join("|")
     )
 }
@@ -28,17 +27,12 @@ fn parse(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config {
         workload: String::new(),
         seed: 1,
-        seconds: 12.0,
+        seconds: 25.0,
         trace: false,
         smoke: false,
-        graph_seed: None,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        if flag == "--smoke" {
-            cfg.smoke = true;
-            continue;
-        }
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--workload" => cfg.workload = value.clone(),
@@ -51,7 +45,6 @@ fn parse(args: &[String]) -> Result<Config, String> {
                     _ => return Err(format!("--trace takes 0 or 1, got {value:?}")),
                 }
             }
-            "--graph-seed" => cfg.graph_seed = Some(number(flag, value)?),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -88,13 +81,11 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "perfbench-record {{\"workload\":\"{}\",\"seed\":{},\"graph_seed\":{},\"seconds\":{},\"trace\":{},\"smoke\":{},{},\"run\":{}}}",
+        "perfbench-record {{\"workload\":\"{}\",\"seed\":{},\"seconds\":{},\"trace\":{},{},\"run\":{}}}",
         cfg.workload,
         cfg.seed,
-        cfg.graph_seed.map_or_else(|| "null".to_string(), |s| s.to_string()),
         cfg.seconds,
         cfg.trace,
-        cfg.smoke,
         util::stamp_fields(),
         outcome.detail
     );

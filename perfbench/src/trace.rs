@@ -48,18 +48,14 @@ pub struct Span {
 pub struct TracedEngine<'p> {
     inner: CongestEngine,
     pool: Option<&'p Arc<WorkerPool>>,
-    origin: Instant,
-    phase_starts: Vec<Duration>,
     spans: Vec<Span>,
 }
 
-/// Spans and phase boundaries of one traced build.
+/// Spans of one traced build.
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// Stage calls in order.
     pub spans: Vec<Span>,
-    /// Offset of each phase's first stage call from the build's start.
-    pub phase_starts: Vec<Duration>,
     /// Wall time of the whole `build_with_engine` call.
     pub wall: Duration,
 }
@@ -79,14 +75,11 @@ fn diff(a: &RunStats, b: &RunStats) -> RunStats {
 
 impl<'p> TracedEngine<'p> {
     /// A fresh engine whose simulators run on `pool` (`None` = one lane),
-    /// as `Session::threads` would configure them. The phase clock starts
-    /// here: create it right before `build_with_engine`.
+    /// as `Session::threads` would configure them.
     pub fn new(pool: Option<&'p Arc<WorkerPool>>) -> Self {
         TracedEngine {
             inner: CongestEngine::new(),
             pool,
-            origin: Instant::now(),
-            phase_starts: Vec::new(),
             spans: Vec::new(),
         }
     }
@@ -95,7 +88,6 @@ impl<'p> TracedEngine<'p> {
     pub fn finish(self, wall: Duration) -> Trace {
         Trace {
             spans: self.spans,
-            phase_starts: self.phase_starts,
             wall,
         }
     }
@@ -105,11 +97,6 @@ impl<'p> TracedEngine<'p> {
         stage: Stage,
         op: impl FnOnce(&mut CongestEngine, &mut RunHooks<'_>) -> T,
     ) -> T {
-        // Algorithm 1 opens every phase that has clusters left, and only
-        // such phases run stages at all.
-        if stage == Stage::Algo1 {
-            self.phase_starts.push(self.origin.elapsed());
-        }
         let mut hooks = RunHooks {
             observer: None,
             pool: self.pool,
@@ -193,11 +180,8 @@ impl PhaseEngine for TracedEngine<'_> {
 
 impl Trace {
     /// The per-layer metrics of the build: per-stage wall, executed rounds
-    /// and messages; driver self time (build wall minus stage walls);
-    /// per-phase walls, where phase `i` runs from its first stage call to
-    /// the next phase's (phase 0 from the build's start, the last phase to
-    /// its end), so the phases partition the build wall; and the
-    /// simulator's round-level ratios.
+    /// and messages; driver self time (build wall minus stage walls); and
+    /// the simulator's round-level ratios.
     pub fn summary(&self) -> BTreeMap<&'static str, f64> {
         let mut out = BTreeMap::new();
         let stages = [
@@ -246,12 +230,6 @@ impl Trace {
                 .map(|s| s.wall.as_secs_f64())
                 .sum(),
         );
-        for (i, name) in ["phase.0.wall_s", "phase.1.wall_s", "phase.2.wall_s"]
-            .into_iter()
-            .enumerate()
-        {
-            out.insert(name, self.phase_wall(i));
-        }
         let total = self.stage_cost();
         let executed = total.rounds - total.skipped_rounds;
         out.insert("congest.rounds_skipped", total.skipped_rounds as f64);
@@ -272,21 +250,6 @@ impl Trace {
             },
         );
         out
-    }
-
-    /// Wall of phase `i` under the partition described in
-    /// [`Trace::summary`]; 0 for a phase with no clusters left.
-    pub fn phase_wall(&self, i: usize) -> f64 {
-        if i >= self.phase_starts.len() {
-            return 0.0;
-        }
-        let start = if i == 0 {
-            Duration::ZERO
-        } else {
-            self.phase_starts[i]
-        };
-        let end = self.phase_starts.get(i + 1).copied().unwrap_or(self.wall);
-        end.saturating_sub(start).as_secs_f64()
     }
 
     /// Sum of the stage-level cost, for the equality check against the

@@ -18,7 +18,6 @@ fn every_workload_passes_its_checks_traced_and_untraced() {
                 seconds: 0.5,
                 trace,
                 smoke: true,
-                graph_seed: None,
             };
             let outcome = run(&cfg).expect("smoke run completes");
             assert!(
