@@ -17,7 +17,8 @@
 //! * `serve_mixed` starts the daemon (set-up = start plus first build),
 //!   drives loopback HTTP load while `POST /rebuild`s run (build = one
 //!   rebuild as the client sees it), and audits the served spanner over
-//!   `POST /batch` with `mode=both`.
+//!   `POST /batch` with `mode=both`, one source per request between the
+//!   load's batches.
 //!
 //! Each run checks its output: `H ⊆ G`, the schedule's round bound, the
 //! settled partition, no disconnected audited pair and every audited pair

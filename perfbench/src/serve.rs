@@ -7,10 +7,14 @@
 //!   each latency runs from the request's due time, so a stall also
 //!   charges the requests queued behind it.
 //! * Connection B, closed loop with a 40 ms think time: `POST /batch` of 64
-//!   spanner pairs, with `POST /rebuild`s of the same spec spread through
-//!   the window; `build_s` is the median rebuild as the client sees it.
-//! * Audit: `POST /batch` with `mode=both` over every target of 16 sources,
-//!   exact answers checked against a local BFS of `BuildSpec::build_graph`.
+//!   spanner pairs, each followed by one request of the served audit, with
+//!   `POST /rebuild`s of the same spec spread through the window; `build_s`
+//!   is the median rebuild as the client sees it.
+//! * Audit: `POST /batch` with `mode=both` over every target of one of 16
+//!   sources per request, exact answers checked against a local BFS of
+//!   `BuildSpec::build_graph`. A pass over the 16 sources is one audit, and
+//!   `audit_s` is the median pass; the passes run between batches over the
+//!   whole window, not in one block after it.
 //! * A local `Session::run` of the served spec checks the paper's
 //!   guarantees and must match the daemon's `/stats`; with `--trace 1` the
 //!   traced build of that spec gives the per-layer numbers.
@@ -46,9 +50,6 @@ const SAMPLE_EVERY: usize = 16;
 /// two): a rebuild takes about 2.4 s on a 2-vCPU host, so reads also run
 /// between rebuilds.
 const REBUILD_EVERY_S: f64 = 4.0;
-/// Served audits repeat (at least [`AUDIT_REPEATS`] times) until they add
-/// up to this long; `audit_s` is their median.
-const AUDIT_TOTAL_S: f64 = 1.5;
 
 /// The workload's parameters.
 struct Mix {
@@ -110,6 +111,118 @@ struct Writes {
     samples: Vec<Sample>,
     attempted: u64,
     failed: u64,
+}
+
+/// The served stretch audit, one source per request. A request is timed
+/// from sending to the full response; a pass over every source is one
+/// audit, and summing its requests evens out their spread.
+struct Audit<'a> {
+    g: &'a Graph,
+    sources: Vec<usize>,
+    /// Request bodies, one per source: every target with `mode=both`.
+    bodies: Vec<String>,
+    /// BFS rows of `G` from the sources.
+    local: DistanceBatch,
+    eps: f64,
+    envelope: (f64, f64),
+    /// Index into `sources` of the next request.
+    next: usize,
+    /// Wall and largest additive excess `d_H − (1 + ε)·d_G` of the pass in
+    /// progress.
+    wall: f64,
+    worst: f64,
+    /// Complete passes: `(wall_s, effective_beta)`.
+    passes: Vec<(f64, f64)>,
+}
+
+impl<'a> Audit<'a> {
+    fn new(g: &'a Graph, eps: f64, envelope: (f64, f64)) -> Self {
+        let n = g.num_vertices();
+        let samples = AUDIT_SOURCES.min(n);
+        let sources: Vec<usize> = (0..samples).map(|i| i * n / samples).collect();
+        let bodies = sources
+            .iter()
+            .map(|&s| {
+                let mut body = String::with_capacity(16 * n);
+                body.push_str("{\"mode\":\"both\",\"pairs\":[");
+                for t in 0..n {
+                    if t > 0 {
+                        body.push(',');
+                    }
+                    body.push_str(&format!("[{s},{t}]"));
+                }
+                body.push_str("]}");
+                body
+            })
+            .collect();
+        Audit {
+            g,
+            local: DistanceBatch::from_sources(g, &sources, nas_par::global()),
+            sources,
+            bodies,
+            eps,
+            envelope,
+            next: 0,
+            wall: 0.0,
+            worst: 0.0,
+            passes: Vec::new(),
+        }
+    }
+
+    /// The next source's request. A transport error, a non-200 status or a
+    /// wrong answer is an `Err`; the pass goes on either way.
+    fn step(&mut self, client: &mut Client, addr: SocketAddr) -> Result<(), String> {
+        let row = self.next;
+        let s = self.sources[row];
+        let start = Instant::now();
+        let resp = request(client, addr, Some(&self.bodies[row]), "/batch");
+        self.wall += secs(start);
+        self.next = (row + 1) % self.sources.len();
+        let checked = resp.and_then(|r| self.check(row, &r.body));
+        if self.next == 0 {
+            self.passes.push((self.wall, self.worst));
+            self.wall = 0.0;
+            self.worst = 0.0;
+        }
+        checked.map_err(|e| format!("audit source {s}: {e}"))
+    }
+
+    /// Checks one source's answers; results come in request order, so
+    /// target `t` is the `t`-th answer.
+    fn check(&mut self, row: usize, body: &str) -> Result<(), String> {
+        let n = self.g.num_vertices();
+        let (alpha, beta) = self.envelope;
+        let mut answered = 0usize;
+        let mut bad = 0usize;
+        for (t, result) in body.split("\"exact\":").skip(1).enumerate() {
+            answered += 1;
+            if t >= n {
+                bad += 1;
+                continue;
+            }
+            let exact = distance_value(Some(result));
+            let spanner = distance_value(after_key(result, "spanner"));
+            let (Ok(exact), Ok(spanner)) = (exact, spanner) else {
+                bad += 1;
+                continue;
+            };
+            if exact != self.local.get(row, t) || !within_envelope(exact, spanner, alpha, beta) {
+                bad += 1;
+            }
+            if let (Some(dg), Some(dh)) = (exact, spanner) {
+                if dg > 0 {
+                    self.worst = self
+                        .worst
+                        .max(f64::from(dh) - (1.0 + self.eps) * f64::from(dg));
+                }
+            }
+        }
+        if answered == n && bad == 0 {
+            Ok(())
+        } else {
+            Err(format!("{bad} wrong answers, {answered} of {n} answered"))
+        }
+    }
 }
 
 /// The distance value at the start of `text` (up to the next `,` or `}`):
@@ -217,9 +330,10 @@ fn closed_loop(
     t0: Instant,
     window: Duration,
     rebuilds: usize,
-    n: usize,
     seed: u64,
+    audit: &mut Audit,
 ) -> Writes {
+    let n = audit.g.num_vertices();
     let mut out = Writes::default();
     let Ok(mut client) = Client::connect(addr) else {
         out.attempted = 1;
@@ -288,6 +402,11 @@ fn closed_loop(
             }
         }
         batches += 1;
+        out.attempted += 1;
+        if let Err(e) = audit.step(&mut client, addr) {
+            out.failed += 1;
+            eprintln!("perfbench: FAILED {e}");
+        }
     }
     out
 }
@@ -305,73 +424,6 @@ fn stat(j: &Json, path: &[&str]) -> f64 {
         .try_fold(j, |j, k| j.get(k))
         .and_then(Json::as_f64)
         .unwrap_or(f64::NAN)
-}
-
-/// Audits the served spanner over HTTP: every target of the audit sources
-/// with `mode=both`. Returns `(wall_s, effective_beta)`.
-fn http_audit(
-    ledger: &mut Ledger,
-    client: &mut Client,
-    addr: SocketAddr,
-    g: &Graph,
-    eps: f64,
-    (alpha, beta): (f64, f64),
-) -> (f64, f64) {
-    let n = g.num_vertices();
-    let samples = AUDIT_SOURCES.min(n);
-    let sources: Vec<usize> = (0..samples).map(|i| i * n / samples).collect();
-    let local = DistanceBatch::from_sources(g, &sources, nas_par::global());
-    let mut wall = 0.0;
-    let mut worst: f64 = 0.0;
-    for (row, &s) in sources.iter().enumerate() {
-        let mut body = String::with_capacity(16 * n);
-        body.push_str("{\"mode\":\"both\",\"pairs\":[");
-        for t in 0..n {
-            if t > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("[{s},{t}]"));
-        }
-        body.push_str("]}");
-        let start = Instant::now();
-        let resp = request(client, addr, Some(&body), "/batch");
-        wall += secs(start);
-        let resp = match resp {
-            Ok(r) => r,
-            Err(e) => {
-                ledger.check(false, || format!("audit batch: {e}"));
-                continue;
-            }
-        };
-        // Results come in request order: target t is the t-th answer.
-        let mut answered = 0usize;
-        let mut bad = 0usize;
-        for (t, result) in resp.body.split("\"exact\":").skip(1).enumerate() {
-            answered += 1;
-            if t >= n {
-                bad += 1;
-                continue;
-            }
-            let exact = distance_value(Some(result));
-            let spanner = distance_value(after_key(result, "spanner"));
-            let (Ok(exact), Ok(spanner)) = (exact, spanner) else {
-                bad += 1;
-                continue;
-            };
-            if exact != local.get(row, t) || !within_envelope(exact, spanner, alpha, beta) {
-                bad += 1;
-            }
-            if let (Some(dg), Some(dh)) = (exact, spanner) {
-                if dg > 0 {
-                    worst = worst.max(f64::from(dh) - (1.0 + eps) * f64::from(dg));
-                }
-            }
-        }
-        ledger.check(answered == n && bad == 0, || {
-            format!("audit source {s}: {bad} wrong answers, {answered} of {n} answered")
-        });
-    }
-    (wall, worst)
 }
 
 /// Runs `serve_mixed`.
@@ -415,13 +467,19 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     let connect = || Client::connect(addr).map_err(|e| e.to_string());
     let before = stats(&mut connect()?, addr)?;
     let epoch0 = stat(&before, &["epoch"]);
+    let envelope = (
+        stat(&before, &["stretch", "alpha_envelope"]),
+        stat(&before, &["stretch", "beta_envelope"]),
+    );
+    let eps = mix.spec.params.eps;
+    let mut audit = Audit::new(&g, eps, envelope);
 
     // The load window.
     let window = Duration::from_secs_f64(cfg.seconds);
     let t0 = Instant::now() + Duration::from_millis(20);
     let (reads, writes) = std::thread::scope(|s| {
         let a = s.spawn(|| open_loop(addr, t0, window, mix.rate, n, cfg.seed));
-        let b = s.spawn(|| closed_loop(addr, t0, window, mix.rebuilds, n, cfg.seed));
+        let b = s.spawn(|| closed_loop(addr, t0, window, mix.rebuilds, cfg.seed, &mut audit));
         (
             a.join().expect("reader thread panicked"),
             b.join().expect("writer thread panicked"),
@@ -448,17 +506,13 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     ledger.check(stat(&after, &["server", "errors"]) == 0.0, || {
         "the daemon counted request errors".to_string()
     });
-    let envelope = (
-        stat(&after, &["stretch", "alpha_envelope"]),
-        stat(&after, &["stretch", "beta_envelope"]),
-    );
-    let eps = mix.spec.params.eps;
-    let mut audits: Vec<(f64, f64)> = Vec::new();
-    while audits.len() < AUDIT_REPEATS
-        || (audits.iter().map(|a| a.0).sum::<f64>() < AUDIT_TOTAL_S && audits.len() < 16)
-    {
-        audits.push(http_audit(&mut ledger, &mut admin, addr, &g, eps, envelope));
+    // A short window (the self-test's) leaves too few passes: finish them
+    // on the admin connection.
+    while audit.passes.len() < AUDIT_REPEATS {
+        let step = audit.step(&mut admin, addr);
+        ledger.check(step.is_ok(), || step.err().unwrap_or_default());
     }
+    let audits = audit.passes;
     let audit_s = median(&audits.iter().map(|a| a.0).collect::<Vec<_>>());
     let effective_beta = audits[0].1;
     ledger.check(audits.iter().all(|a| a.1 == effective_beta), || {
