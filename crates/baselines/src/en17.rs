@@ -22,7 +22,7 @@
 //! matching EN17's stated bound. This substitution is recorded in
 //! DESIGN.md.
 
-use nas_congest::RunStats;
+use nas_congest::{RunHooks, RunStats, SimArena};
 use nas_core::algo1;
 use nas_core::interconnect;
 use nas_core::supercluster;
@@ -153,6 +153,9 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
     let mut root_of_center: Vec<u32> = vec![NO_ROOT; n];
     let mut spanned = EpochMarks::new();
     let mut settled_mark = EpochMarks::new();
+    // One simulator arena for every distributed step of the build.
+    let mut arena = SimArena::new();
+    let mut hooks = RunHooks::none();
 
     for i in 0..=ell {
         let centers: Vec<usize> = (0..n).filter(|&v| center_of[v] == Some(v as u32)).collect();
@@ -182,7 +185,8 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
         let info = match dist_cap_factor {
             None => algo1::algo1_centralized(g, &is_center, cap, delta[i]),
             Some(_) => {
-                let (info, s) = algo1::algo1_distributed(g, &is_center, cap, delta[i]);
+                let (info, s) =
+                    algo1::algo1_distributed(g, &is_center, cap, delta[i], &mut arena, &mut hooks);
                 phase_rounds += s.rounds;
                 stats.merge(&s);
                 info
@@ -200,8 +204,9 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
             let sc = match dist_cap_factor {
                 None => supercluster::supercluster_centralized(g, &roots, &centers, delta[i]),
                 Some(_) => {
-                    let (sc, s) =
-                        supercluster::supercluster_distributed(g, &roots, &centers, delta[i]);
+                    let (sc, s) = supercluster::supercluster_distributed(
+                        g, &roots, &centers, delta[i], &mut arena, &mut hooks,
+                    );
                     phase_rounds += s.rounds;
                     stats.merge(&s);
                     sc
@@ -227,8 +232,14 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
             None => interconnect::interconnect_centralized(g, &info, &settled_centers),
             Some(_) => {
                 let max_rounds = cap as u64 * delta[i] + delta[i] + 4;
-                let (inter, s) =
-                    interconnect::interconnect_distributed(g, &info, &settled_centers, max_rounds);
+                let (inter, s) = interconnect::interconnect_distributed(
+                    g,
+                    &info,
+                    &settled_centers,
+                    max_rounds,
+                    &mut arena,
+                    &mut hooks,
+                );
                 phase_rounds += s.rounds;
                 stats.merge(&s);
                 inter

@@ -2,6 +2,7 @@
 //! Printable version: the `ablations` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nas_congest::{RunHooks, SimArena};
 use nas_core::{Backend, Params, Session};
 use nas_graph::generators;
 use nas_ruling::{ruling_set_distributed, RulingParams};
@@ -15,8 +16,15 @@ fn bench_ablation_ruling_c(c: &mut Criterion) {
     group.sample_size(10);
     for cc in [1u32, 2, 3] {
         group.bench_with_input(BenchmarkId::from_parameter(cc), &cc, |b, &cc| {
+            let mut arena = SimArena::new();
             b.iter(|| {
-                let (rs, stats) = ruling_set_distributed(&g, &w, RulingParams::new(3, cc));
+                let (rs, stats) = ruling_set_distributed(
+                    &g,
+                    &w,
+                    RulingParams::new(3, cc),
+                    &mut arena,
+                    &mut RunHooks::none(),
+                );
                 black_box((rs.members.len(), stats.rounds))
             })
         });

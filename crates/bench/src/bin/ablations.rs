@@ -7,6 +7,7 @@
 //! Usage: `ablations [--seed S] [--threads T]`
 
 use nas_bench::{default_params, BenchCli};
+use nas_congest::{RunHooks, SimArena};
 use nas_core::{Backend, Params, Session};
 use nas_graph::generators;
 use nas_metrics::{tables::fmt_f64, TableBuilder};
@@ -35,8 +36,15 @@ fn ablation_ruling_c(seed: u64) {
         "|A|",
         "rounds (measured)",
     ]);
+    let mut arena = SimArena::new();
     for c in [1u32, 2, 3, 4] {
-        let (rs, stats) = ruling_set_distributed(&g, &w, RulingParams::new(q, c));
+        let (rs, stats) = ruling_set_distributed(
+            &g,
+            &w,
+            RulingParams::new(q, c),
+            &mut arena,
+            &mut RunHooks::none(),
+        );
         let dom = nas_graph::DistanceMap::from_sources(&g, rs.members.iter().copied());
         let max_dom = w.iter().filter_map(|&v| dom.get(v)).max().unwrap_or(0);
         t.row(vec![

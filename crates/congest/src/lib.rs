@@ -80,9 +80,10 @@
 //! * nodes whose inbox is non-empty this round,
 //! * nodes that reported `!is_idle()` after their previous visit,
 //! * nodes whose timed wake-up ([`NodeProgram::next_wake`]) is due,
-//! * plus every node on the very first round (and after
-//!   [`Simulator::programs_mut`], which may change state behind the
-//!   scheduler's back).
+//! * plus, on the first round, every node of a [`Simulator::new`] run (and
+//!   after [`Simulator::programs_mut`], which may change state behind the
+//!   scheduler's back) — or only the declared initial set of an
+//!   [installed](Simulator::install) run (see "Arena lifecycle").
 //!
 //! The soundness invariant: **a node's state changes only inside
 //! [`NodeProgram::round`]**, so a node that was idle after its last visit
@@ -104,6 +105,44 @@
 //! ([`Simulator::run_until_quiet`]) reads the same bookkeeping — a node
 //! holding a pending wake-up counts as unfinished — and is O(active set)
 //! instead of O(n) per round.
+//!
+//! # Arena lifecycle
+//!
+//! A simulator's graph-independent working state — the n-sized inbox
+//! ranges, counters and armed-timer slots, the message and staging
+//! buffers, the visit and timer scratch, and the worker lanes' buckets —
+//! lives in a [`SimArena`]. [`Simulator::new`] builds a fresh one per run.
+//! A driver that runs many protocols back to back over one graph (the
+//! stages of a spanner build) keeps a single arena instead:
+//!
+//! 1. [`Simulator::install`] moves the programs into the kept arena. The
+//!    run starts at round 0 with zeroed accounting, like a fresh
+//!    simulator. Messages still in flight and wake-ups still pending from
+//!    the previous run are dropped in O(leftover); the n-sized arrays are
+//!    rebuilt only when `n` changes, and the lane plane only when the pool
+//!    does.
+//! 2. The run executes as usual.
+//! 3. [`Simulator::into_parts`] hands the programs and the arena back with
+//!    capacities kept — except that a message buffer a burst grew past one
+//!    slot per node is cut back to that size, so a kept arena holds O(n)
+//!    memory rather than the peak of every earlier stage.
+//!
+//! **The first-round rule for installed runs.** An installed run does not
+//! open with a full wake-up. Its first round visits only the `initial`
+//! nodes the caller declares — the protocol's spontaneous actors, such as
+//! Algorithm 1's centers or a BFS forest's roots. Every other program must
+//! be idle, hold no wake-up, and treat a round-0 visit with an empty inbox
+//! as a no-op; it is then first visited when a message reaches it, which
+//! makes the run indistinguishable from one that began with a full
+//! wake-up (transcripts, stats and program states; only
+//! [`RoundInfo::active`] and [`RunStats::skipped_rounds`] see the
+//! difference). A run whose initial set is empty does O(1) work per
+//! round, however large the graph: a bounded run fast-forwards over its
+//! whole schedule, and a run-until-quiet executes its one empty round.
+//!
+//! Because every run restarts at round 0, an armed-timer slot is cleared
+//! as soon as its wake-up fires or the wheel is emptied, so the next run
+//! can book the same rounds again.
 //!
 //! # Streaming observation
 //!
@@ -207,7 +246,8 @@ pub use msg::{Incoming, Merge, Msg, MAX_WORDS};
 pub use observe::{NoopRoundObserver, RoundInfo, RoundObserver, RunHooks};
 pub use reference::ReferenceSimulator;
 pub use sim::{
-    NodeProgram, QuietOutcome, RoundCtx, Simulator, DEFAULT_BCAST_THRESHOLD, DEFAULT_PAR_THRESHOLD,
+    NodeProgram, QuietOutcome, RoundCtx, SimArena, Simulator, DEFAULT_BCAST_THRESHOLD,
+    DEFAULT_PAR_THRESHOLD,
 };
 pub use stats::RunStats;
 pub use trace::{RoundRecord, Transcript};

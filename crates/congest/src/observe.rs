@@ -43,7 +43,9 @@ pub struct RoundInfo {
     /// Nodes visited by this round: message receivers, nodes that reported
     /// non-idle, and nodes whose timed wake-up ([`NodeProgram::next_wake`])
     /// came due (the union may double-count a node that is in more than one
-    /// of those sets), or `n` on a wake-up round. `0` when the observer
+    /// of those sets); `n` on a full wake-up round, and the declared initial
+    /// set on the first round of an installed run
+    /// ([`crate::Simulator::install`]). `0` when the observer
     /// opted out of detail ([`RoundObserver::wants_round_detail`]) —
     /// counting the active set costs a sorted-list merge the
     /// pure-cancellation observers (round budgets) should not pay.

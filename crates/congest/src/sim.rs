@@ -17,8 +17,9 @@
 //!
 //! * every node whose inbox is non-empty this round, and
 //! * every node that reported `!is_idle()` after its previous visit
-//!   (plus all nodes on the very first round, and after
-//!   [`Simulator::programs_mut`]).
+//!   (plus, on the first round, all nodes of a [`Simulator::new`] run or
+//!   the declared initial set of a [`Simulator::install`]ed one, and all
+//!   nodes after [`Simulator::programs_mut`]).
 //!
 //! This is sound because a node's state can only change inside
 //! [`NodeProgram::round`]: a node that was idle after its last visit and has
@@ -68,7 +69,9 @@ pub const DEFAULT_BCAST_THRESHOLD: usize = 3;
 /// only guaranteed to be invoked when at least one of these holds:
 ///
 /// * it is the node's first round (simulator creation or
-///   [`Simulator::programs_mut`] re-arm a full wake-up);
+///   [`Simulator::programs_mut`] re-arm a full wake-up; an
+///   [installed](Simulator::install) run visits only its declared initial
+///   set, whose complement must be idle with no wake-up);
 /// * the node's inbox is non-empty;
 /// * the node returned `false` from [`is_idle`](NodeProgram::is_idle) after
 ///   its previous `round` invocation.
@@ -606,21 +609,19 @@ struct InboxRange {
     len: u32,
 }
 
-/// Holds one [`NodeProgram`] per vertex and delivers messages with exactly
-/// one round of latency. See the crate-level docs for an example and for the
-/// arena / active-set design notes.
+/// The graph-independent working state of a [`Simulator`]: the n-sized
+/// per-node arrays, the message and staging arenas, the visit and timer
+/// scratch, and the per-lane parallel plane.
 ///
-/// Programs must be `Send`: any round may be executed on a worker-pool lane
-/// ([`Simulator::set_pool`]), so program state moves between threads. Every
-/// protocol in this workspace is plain data and satisfies this
-/// automatically; a non-`Send` program (e.g. one holding an `Rc`) would
-/// also be unusable on the parallel path by construction.
-pub struct Simulator<'g, P> {
-    /// The adjacency plane: borrowed flat CSR or shared compact store.
-    topo: Topology<'g>,
-    /// Vertex count, cached off the topology.
-    n: usize,
-    programs: Vec<P>,
+/// A [`Simulator::new`] run owns a fresh arena. A driver that runs many
+/// simulations back to back over one graph (the stages of a spanner build)
+/// keeps one arena instead: each run is [installed](Simulator::install)
+/// into it and hands it back through [`Simulator::into_parts`] with its
+/// capacities kept (message buffers cut back to O(n)), so no stage pays
+/// for allocating, faulting in, or freeing the plane again. See the
+/// crate-level "Arena lifecycle" notes.
+#[derive(Default)]
+pub struct SimArena {
     /// Flat arena of messages to deliver in the *upcoming* round, grouped by
     /// receiver via `inbox_ranges`.
     inbox_data: Vec<Incoming>,
@@ -647,9 +648,6 @@ pub struct Simulator<'g, P> {
     nonidle_next: Vec<u32>,
     /// Scratch: this round's visit list.
     visit: Vec<u32>,
-    /// Visit all nodes next step (fresh simulator, or programs mutated from
-    /// outside via [`Simulator::programs_mut`]).
-    wake_all: bool,
     /// Timer wheel: wake round → nodes with a registered timed wake-up
     /// ([`NodeProgram::next_wake`]) at that round. Entries are popped into
     /// the visit list when their round arrives. Each per-round list is a
@@ -659,9 +657,10 @@ pub struct Simulator<'g, P> {
     /// `timer_armed[v]`: the wake round currently registered for `v`
     /// (`u64::MAX` = none). Prevents a node that is visited repeatedly
     /// while holding the same appointment from flooding the wheel with
-    /// duplicates. Never needs clearing: wake rounds only move forward, and
-    /// a fired round can never be re-registered (registration requires a
-    /// strictly future round).
+    /// duplicates. A slot is cleared when its timer fires and when the
+    /// wheel is emptied ([`SimArena::disarm_timers`]), so it is `u64::MAX`
+    /// for every node without a pending wheel entry — which is what lets a
+    /// later install, whose rounds restart at 0, arm the same rounds again.
     timer_armed: Vec<u64>,
     /// Scratch: nodes whose timers fire this round, sorted + deduped.
     due: Vec<u32>,
@@ -671,15 +670,118 @@ pub struct Simulator<'g, P> {
     /// Scratch: pooled adjacency decode buffer for the sequential path
     /// (compact store only; stays empty on flat).
     adj_scratch: Vec<u32>,
-    round: u64,
-    stats: RunStats,
     /// Scratch: per-port "sent" flags, reused across nodes and rounds.
     sent_scratch: Vec<bool>,
     outbox_scratch: Vec<(u32, Msg)>,
+    /// The sharded parallel round path's per-lane arenas, built by
+    /// [`Simulator::set_pool`] and kept for the next install on the same
+    /// pool and vertex count.
+    par: Option<ParPlane>,
+}
+
+impl SimArena {
+    /// An empty arena; every buffer grows on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Readies the arena for a run over `n` nodes of maximum degree
+    /// `max_deg`. Messages still in flight when the previous run stopped
+    /// are dropped and its pending wake-ups disarmed, in O(leftover); the
+    /// n-sized arrays are rebuilt only when `n` changes.
+    fn reset(&mut self, n: usize, max_deg: usize) {
+        for &r in &self.msg_active {
+            self.inbox_ranges[r as usize].len = 0;
+        }
+        self.msg_active.clear();
+        self.nonidle.clear();
+        self.disarm_timers();
+        if self.inbox_ranges.len() != n {
+            self.inbox_ranges.clear();
+            self.inbox_ranges.resize(n, InboxRange::default());
+            self.count.clear();
+            self.count.resize(n, 0);
+            self.timer_armed.clear();
+            self.timer_armed.resize(n, u64::MAX);
+            // Lane cuts are derived from `n`.
+            self.par = None;
+        }
+        if self.sent_scratch.len() < max_deg {
+            self.sent_scratch.resize(max_deg, false);
+        }
+    }
+
+    /// Cuts every message buffer back to at most `n` slots (split evenly
+    /// over the lane buckets); the dropped slots hold no live message once
+    /// the run is over.
+    fn trim(&mut self, n: usize) {
+        fn cap<T>(v: &mut Vec<T>, slots: usize) {
+            if v.capacity() > slots {
+                v.truncate(slots);
+                v.shrink_to(slots);
+            }
+        }
+        cap(&mut self.inbox_data, n);
+        cap(&mut self.next_data, n);
+        cap(&mut self.staged, n);
+        if let Some(par) = self.par.as_mut() {
+            let lanes = par.workers.len();
+            for w in &mut par.workers {
+                for bucket in &mut w.buckets {
+                    cap(bucket, n / (lanes * lanes));
+                }
+            }
+        }
+    }
+
+    /// Empties the timer wheel, clearing the armed slot of every node that
+    /// still held an appointment — O(pending wake-ups), not O(n).
+    fn disarm_timers(&mut self) {
+        for nodes in std::mem::take(&mut self.timers).into_values() {
+            for v in nodes {
+                self.timer_armed[v as usize] = u64::MAX;
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for SimArena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimArena")
+            .field("nodes", &self.inbox_ranges.len())
+            .field("message_capacity", &self.inbox_data.capacity())
+            .field("lanes", &self.par.as_ref().map_or(1, |p| p.pool.threads()))
+            .finish_non_exhaustive()
+    }
+}
+
+/// Holds one [`NodeProgram`] per vertex and delivers messages with exactly
+/// one round of latency. See the crate-level docs for an example and for the
+/// arena / active-set design notes.
+///
+/// Programs must be `Send`: any round may be executed on a worker-pool lane
+/// ([`Simulator::set_pool`]), so program state moves between threads. Every
+/// protocol in this workspace is plain data and satisfies this
+/// automatically; a non-`Send` program (e.g. one holding an `Rc`) would
+/// also be unusable on the parallel path by construction.
+pub struct Simulator<'g, P> {
+    /// The adjacency plane: borrowed flat CSR or shared compact store.
+    topo: Topology<'g>,
+    /// Vertex count, cached off the topology.
+    n: usize,
+    programs: Vec<P>,
+    /// The message plane and scheduler state (see [`SimArena`]).
+    arena: SimArena,
+    /// Visit all nodes next step (fresh simulator, or programs mutated from
+    /// outside via [`Simulator::programs_mut`]).
+    wake_all: bool,
+    /// Whether rounds may take the sharded parallel path on the arena's
+    /// lane plane (see [`Simulator::set_pool`]).
+    pooled: bool,
+    round: u64,
+    stats: RunStats,
     /// Optional round-by-round transcript (see [`crate::trace`]).
     transcript: Option<Transcript>,
-    /// Optional sharded parallel round path (see [`Simulator::set_pool`]).
-    par: Option<ParPlane>,
     /// Minimum visit-list length for a round to take the parallel path (see
     /// [`Simulator::set_par_threshold`]).
     par_threshold: usize,
@@ -705,7 +807,40 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     ///
     /// Panics if `programs.len() != graph.num_vertices()`.
     pub fn new(graph: &'g Graph, programs: Vec<P>) -> Self {
-        Self::with_topology(Topology::Flat(graph), programs)
+        Self::with_arena(Topology::Flat(graph), programs, SimArena::new(), None)
+    }
+
+    /// Installs `programs` for `graph` into a kept `arena` (see
+    /// [`SimArena`]) — one stage of a multi-stage build. The run's clock
+    /// starts at round 0 and its accounting at zero, exactly as on a fresh
+    /// simulator; [`Simulator::into_parts`] hands the arena back.
+    ///
+    /// Unlike [`Simulator::new`], the first round is **not** a full
+    /// wake-up: it visits only the `initial` nodes (any order, duplicates
+    /// allowed) — the stage's declared spontaneous actors, such as the
+    /// centers that open Algorithm 1 or the roots of a BFS forest. Every
+    /// other program must be idle, hold no [`NodeProgram::next_wake`]
+    /// appointment, and treat a round-0 visit with an empty inbox as a
+    /// no-op; it is then first visited when a message reaches it, and the
+    /// run is indistinguishable from a full wake-up (asserted for the idle
+    /// half in debug builds). A stage whose `initial` set is empty costs
+    /// O(1) rounds of work, however large the graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `programs.len() != graph.num_vertices()` or an `initial`
+    /// node is out of range.
+    pub fn install(graph: &'g Graph, programs: Vec<P>, initial: &[usize], arena: SimArena) -> Self {
+        Self::with_arena(Topology::Flat(graph), programs, arena, Some(initial))
+    }
+
+    /// Ends the run, returning the node programs and the arena for the next
+    /// [`Simulator::install`]. Capacities are kept, except that a message
+    /// buffer a burst grew past one slot per node is cut back to that size:
+    /// a kept arena holds O(n) memory, not the peak of every earlier stage.
+    pub fn into_parts(mut self) -> (Vec<P>, SimArena) {
+        self.arena.trim(self.n);
+        (self.programs, self.arena)
     }
 
     /// Creates a simulator whose adjacency reads come from the delta/varint
@@ -718,39 +853,50 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     ///
     /// Panics if `programs.len() != store.num_vertices()`.
     pub fn new_compact(store: Arc<CompactGraph>, programs: Vec<P>) -> Simulator<'static, P> {
-        Simulator::with_topology(Topology::Compact(store), programs)
+        Simulator::with_arena(Topology::Compact(store), programs, SimArena::new(), None)
     }
 
-    fn with_topology(topo: Topology<'g>, programs: Vec<P>) -> Self {
+    /// `initial = None` arms the full first-round wake-up.
+    fn with_arena(
+        topo: Topology<'g>,
+        programs: Vec<P>,
+        mut arena: SimArena,
+        initial: Option<&[usize]>,
+    ) -> Self {
         let n = topo.num_vertices();
         assert_eq!(programs.len(), n, "need exactly one program per vertex");
-        let max_deg = topo.max_degree();
+        arena.reset(n, topo.max_degree());
+        if let Some(initial) = initial {
+            for &v in initial {
+                assert!(v < n, "initial node {v} out of range");
+                arena.nonidle.push(v as u32);
+            }
+            arena.nonidle.sort_unstable();
+            arena.nonidle.dedup();
+            debug_assert!(
+                {
+                    let mut declared = arena.nonidle.iter().peekable();
+                    programs.iter().enumerate().all(|(v, p)| {
+                        if declared.next_if_eq(&&(v as u32)).is_some() {
+                            true
+                        } else {
+                            p.is_idle() && p.next_wake().is_none()
+                        }
+                    })
+                },
+                "a node outside the declared initial set is not idle"
+            );
+        }
         Simulator {
             topo,
             n,
             programs,
-            inbox_data: Vec::new(),
-            next_data: Vec::new(),
-            inbox_ranges: vec![InboxRange::default(); n],
-            msg_active: Vec::new(),
-            nonidle: Vec::new(),
-            count: vec![0; n],
-            touched: Vec::new(),
-            staged: Vec::new(),
-            nonidle_next: Vec::new(),
-            visit: Vec::new(),
-            wake_all: true,
-            timers: BTreeMap::new(),
-            timer_armed: vec![u64::MAX; n],
-            due: Vec::new(),
-            visit_pre: Vec::new(),
-            adj_scratch: Vec::new(),
+            arena,
+            wake_all: initial.is_none(),
+            pooled: false,
             round: 0,
             stats: RunStats::new(),
-            sent_scratch: vec![false; max_deg],
-            outbox_scratch: Vec::new(),
             transcript: None,
-            par: None,
             par_threshold: DEFAULT_PAR_THRESHOLD,
             bcast_threshold: DEFAULT_BCAST_THRESHOLD,
             fast_forward: true,
@@ -765,11 +911,23 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     ///
     /// All per-lane arenas are allocated here (and grown during warm-up
     /// rounds); the steady-state round stays zero-allocation, pool or not
-    /// (pinned by `tests/zero_alloc.rs`).
+    /// (pinned by `tests/zero_alloc.rs`). An installed simulator whose
+    /// arena already carries the lane plane of this very pool keeps it.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
+        self.pooled = true;
+        let max_deg = self.topo.max_degree();
+        if let Some(par) = self.arena.par.as_mut() {
+            if Arc::ptr_eq(&par.pool, &pool) {
+                for w in &mut par.workers {
+                    if w.sent.len() < max_deg {
+                        w.sent.resize(max_deg, false);
+                    }
+                }
+                return;
+            }
+        }
         let n = self.n;
         let t = pool.threads();
-        let max_deg = self.sent_scratch.len();
         let chunk = n.div_ceil(t).max(1);
         let ncuts: Vec<usize> = (0..=t).map(|j| (j * chunk).min(n)).collect();
         let workers = (0..t)
@@ -790,7 +948,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 adj: Vec::new(),
             })
             .collect();
-        self.par = Some(ParPlane {
+        self.arena.par = Some(ParPlane {
             pool,
             workers,
             ranges,
@@ -805,7 +963,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
 
     /// Detaches the worker pool; subsequent steps run sequentially.
     pub fn clear_pool(&mut self) {
-        self.par = None;
+        self.pooled = false;
     }
 
     /// Sets the minimum visit-list length for a round to take the parallel
@@ -862,7 +1020,11 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
 
     /// The attached worker pool, if any.
     pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.par.as_ref().map(|p| &p.pool)
+        self.arena
+            .par
+            .as_ref()
+            .filter(|_| self.pooled)
+            .map(|p| &p.pool)
     }
 
     /// Enables transcript recording (see [`crate::trace`]). Call before the
@@ -901,7 +1063,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         );
         assert_eq!(
             store.max_degree(),
-            self.sent_scratch.len(),
+            self.topo.max_degree(),
             "compact store does not match the simulator's topology"
         );
         self.topo = Topology::Compact(store);
@@ -940,8 +1102,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         // Arbitrary state may change behind the scheduler's back, so any
         // registered appointments are meaningless; the full wake-up
         // revisits everyone, and still-relevant wakes re-register there.
-        self.timers.clear();
-        self.timer_armed.fill(u64::MAX);
+        self.arena.disarm_timers();
         &mut self.programs
     }
 
@@ -965,7 +1126,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// inbox range (`inbox_data` itself is a grow-only arena whose length
     /// exceeds the live prefix).
     pub fn has_pending_messages(&self) -> bool {
-        !self.msg_active.is_empty()
+        !self.arena.msg_active.is_empty()
     }
 
     /// Number of nodes the next [`step`](Simulator::step) will visit.
@@ -978,7 +1139,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             return self.n;
         }
         // Count the union of the two sorted lists without materializing it.
-        let (a, b) = (&self.msg_active, &self.nonidle);
+        let (a, b) = (&self.arena.msg_active, &self.arena.nonidle);
         let (mut i, mut j, mut out) = (0usize, 0usize, 0usize);
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
@@ -991,7 +1152,12 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             }
             out += 1;
         }
-        let due: usize = self.timers.range(..=self.round).map(|(_, v)| v.len()).sum();
+        let due: usize = self
+            .arena
+            .timers
+            .range(..=self.round)
+            .map(|(_, v)| v.len())
+            .sum();
         out + (a.len() - i) + (b.len() - j) + due
     }
 
@@ -1000,14 +1166,14 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// except after [`Simulator::programs_mut`] (full scan, since arbitrary
     /// state may have changed).
     pub fn is_quiescent(&self) -> bool {
-        self.msg_active.is_empty()
-            && self.timers.is_empty()
+        self.arena.msg_active.is_empty()
+            && self.arena.timers.is_empty()
             && if self.wake_all {
                 self.programs
                     .iter()
                     .all(|p| p.is_idle() && p.next_wake().is_none())
             } else {
-                self.nonidle.is_empty()
+                self.arena.nonidle.is_empty()
             }
     }
 
@@ -1020,7 +1186,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// parallel path with identical observable behavior.
     pub fn step(&mut self) {
         self.build_visit();
-        let parallel = self.par.is_some() && self.visit.len() >= self.par_threshold;
+        let parallel = self.pooled && self.arena.visit.len() >= self.par_threshold;
         // Resolve the adjacency plane once per round and monomorphize the
         // round path over it (no per-neighbor dispatch). The flat adapter
         // copies `'g` borrows out of the topology; the compact adapter
@@ -1055,33 +1221,41 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// receiver-ascending digest order is part of the determinism contract.
     fn build_visit(&mut self) {
         let n = self.n;
-        self.visit.clear();
+        let a = &mut self.arena;
+        a.visit.clear();
         // Pop every timer at or before this round (normally exactly this
         // round: earlier keys were popped by earlier steps). Also done on a
-        // full wake-up, where the entries are redundant.
-        self.due.clear();
-        while let Some(entry) = self.timers.first_entry() {
+        // full wake-up, where the entries are redundant. A fired node's
+        // armed slot is cleared unless it already holds a later round.
+        a.due.clear();
+        while let Some(entry) = a.timers.first_entry() {
             if *entry.key() > self.round {
                 break;
             }
-            self.due.extend_from_slice(&entry.remove());
+            let (fired, nodes) = entry.remove_entry();
+            for &v in &nodes {
+                if a.timer_armed[v as usize] == fired {
+                    a.timer_armed[v as usize] = u64::MAX;
+                }
+            }
+            a.due.extend_from_slice(&nodes);
         }
         if self.wake_all {
             self.wake_all = false;
-            self.visit.extend(0..n as u32);
+            a.visit.extend(0..n as u32);
             return;
         }
-        if self.due.is_empty() {
-            merge_sorted(&mut self.visit, &self.msg_active, &self.nonidle);
+        if a.due.is_empty() {
+            merge_sorted(&mut a.visit, &a.msg_active, &a.nonidle);
         } else {
             // Per-round timer lists are concatenations of ascending runs
             // and may repeat a node across rounds; normalize, then fold the
             // 3-way union as two 2-way merges.
-            self.due.sort_unstable();
-            self.due.dedup();
-            self.visit_pre.clear();
-            merge_sorted(&mut self.visit_pre, &self.msg_active, &self.nonidle);
-            merge_sorted(&mut self.visit, &self.visit_pre, &self.due);
+            a.due.sort_unstable();
+            a.due.dedup();
+            a.visit_pre.clear();
+            merge_sorted(&mut a.visit_pre, &a.msg_active, &a.nonidle);
+            merge_sorted(&mut a.visit, &a.visit_pre, &a.due);
         }
     }
 
@@ -1091,27 +1265,28 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// conversion pass between scatter and merge (see [`AdjAccess`]).
     fn step_seq_impl<A: AdjAccess>(&mut self, adj: &A) {
         let n = self.n;
+        let a = &mut self.arena;
         let mut digest = self.transcript.is_some().then(RoundDigest::new);
         let mut sent_this_round = 0u64;
 
         // 2. Visit: deliver, digest, run the program, stage its sends.
-        for idx in 0..self.visit.len() {
-            let v = self.visit[idx] as usize;
-            let neighbors = adj.adj(v, &mut self.adj_scratch);
+        for idx in 0..a.visit.len() {
+            let v = a.visit[idx] as usize;
+            let neighbors = adj.adj(v, &mut a.adj_scratch);
             let deg = neighbors.len();
-            let sent = &mut self.sent_scratch[..deg];
+            let sent = &mut a.sent_scratch[..deg];
             sent.fill(false);
-            self.outbox_scratch.clear();
+            a.outbox_scratch.clear();
 
             // `start` is stale for nodes outside `msg_active`, so gate on
             // the length (zero for every such node by invariant).
-            let rg = self.inbox_ranges[v];
+            let rg = a.inbox_ranges[v];
             let len = rg.len as usize;
             let inbox: &[Incoming] = if len == 0 {
                 &[]
             } else {
                 let start = rg.start as usize;
-                &self.inbox_data[start..start + len]
+                &a.inbox_data[start..start + len]
             };
             if let Some(d) = digest.as_mut() {
                 for inc in inbox {
@@ -1125,7 +1300,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 self.round,
                 neighbors,
                 inbox,
-                &mut self.outbox_scratch,
+                &mut a.outbox_scratch,
                 sent,
                 self.bcast_threshold,
             );
@@ -1134,15 +1309,15 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             // Stage the outbox; actual routing happens in the counting +
             // scatter passes below. A broadcast record counts against every
             // neighbor here but stays one staged entry.
-            for &(port, msg) in self.outbox_scratch.iter() {
+            for &(port, msg) in a.outbox_scratch.iter() {
                 if port == BCAST_PORT {
                     for &u in neighbors {
-                        if self.count[u as usize] == 0 {
-                            self.touched.push(u);
+                        if a.count[u as usize] == 0 {
+                            a.touched.push(u);
                         }
-                        self.count[u as usize] += 1;
+                        a.count[u as usize] += 1;
                     }
-                    self.staged.push((
+                    a.staged.push((
                         BCAST_RECV,
                         Incoming {
                             from_port: v as u32,
@@ -1158,44 +1333,44 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                     } else {
                         adj.rev_port(v, port as usize)
                     };
-                    if self.count[u as usize] == 0 {
-                        self.touched.push(u);
+                    if a.count[u as usize] == 0 {
+                        a.touched.push(u);
                     }
-                    self.count[u as usize] += 1;
-                    self.staged.push((u, Incoming { from_port, msg }));
+                    a.count[u as usize] += 1;
+                    a.staged.push((u, Incoming { from_port, msg }));
                     self.stats.words += msg.len() as u64;
                     sent_this_round += 1;
                 }
             }
             if !self.programs[v].is_idle() {
-                self.nonidle_next.push(v as u32);
+                a.nonidle_next.push(v as u32);
             } else if let Some(w) = self.programs[v].next_wake() {
                 // Timed wake-up: the node goes idle with an appointment.
                 // Past/present rounds are ignored per the contract, and
                 // `timer_armed` suppresses exact re-registrations from
                 // intermediate message-driven visits.
-                if w > self.round && self.timer_armed[v] != w {
-                    self.timer_armed[v] = w;
-                    self.timers.entry(w).or_default().push(v as u32);
+                if w > self.round && a.timer_armed[v] != w {
+                    a.timer_armed[v] = w;
+                    a.timers.entry(w).or_default().push(v as u32);
                 }
             }
         }
 
         // 3. Retire the consumed inboxes (restores the len-is-zero
         //    invariant before the scatter pass reuses it as a fill cursor).
-        for &r in &self.msg_active {
-            self.inbox_ranges[r as usize].len = 0;
+        for &r in &a.msg_active {
+            a.inbox_ranges[r as usize].len = 0;
         }
 
         // 4. Counting pass: CSR ranges for next round's receivers. Senders
         //    were visited in id order, so a stable scatter keeps each inbox
         //    sorted by sender id — the deterministic delivery order we
         //    promise.
-        self.touched.sort_unstable();
+        a.touched.sort_unstable();
         let mut acc = 0usize;
-        for &r in &self.touched {
-            self.inbox_ranges[r as usize].start = acc as u32;
-            acc += self.count[r as usize] as usize;
+        for &r in &a.touched {
+            a.inbox_ranges[r as usize].start = acc as u32;
+            acc += a.count[r as usize] as usize;
         }
         debug_assert_eq!(acc as u64, sent_this_round);
         // Any `start` written above is only read by the scatter below, so
@@ -1214,8 +1389,8 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         //    read (all reads go through `inbox_start`/`inbox_len` ranges),
         //    so the placeholder fill is paid once at peak size instead of
         //    every round.
-        if self.next_data.len() < acc {
-            self.next_data.resize(
+        if a.next_data.len() < acc {
+            a.next_data.resize(
                 acc,
                 Incoming {
                     from_port: 0,
@@ -1223,33 +1398,33 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 },
             );
         }
-        for &(u, inc) in &self.staged {
+        for &(u, inc) in &a.staged {
             if u == BCAST_RECV {
                 let s = inc.from_port as usize;
-                let nb = adj.adj(s, &mut self.adj_scratch);
+                let nb = adj.adj(s, &mut a.adj_scratch);
                 for (p, &u2) in nb.iter().enumerate() {
                     let from_port = if A::DEFERRED_PORTS {
                         s as u32
                     } else {
                         adj.rev_port(s, p)
                     };
-                    let rg = &mut self.inbox_ranges[u2 as usize];
+                    let rg = &mut a.inbox_ranges[u2 as usize];
                     let pos = rg.start as usize + rg.len as usize;
-                    self.next_data[pos] = Incoming {
+                    a.next_data[pos] = Incoming {
                         from_port,
                         msg: inc.msg,
                     };
                     rg.len += 1;
                 }
             } else {
-                let rg = &mut self.inbox_ranges[u as usize];
+                let rg = &mut a.inbox_ranges[u as usize];
                 let pos = rg.start as usize + rg.len as usize;
-                self.next_data[pos] = inc;
+                a.next_data[pos] = inc;
                 rg.len += 1;
             }
         }
-        for &r in &self.touched {
-            self.count[r as usize] = 0;
+        for &r in &a.touched {
+            a.count[r as usize] = 0;
         }
 
         // 5a. Conversion pass (compact store only): staged `from_port`
@@ -1258,12 +1433,12 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         //     so merge tie-breaks and next round's digests see exactly the
         //     flat store's values.
         if A::DEFERRED_PORTS {
-            for &r in &self.touched {
+            for &r in &a.touched {
                 let r = r as usize;
-                let rg = self.inbox_ranges[r];
+                let rg = a.inbox_ranges[r];
                 let start = rg.start as usize;
-                let nb = adj.adj(r, &mut self.adj_scratch);
-                convert_deferred_ports(&mut self.next_data[start..start + rg.len as usize], nb);
+                let nb = adj.adj(r, &mut a.adj_scratch);
+                convert_deferred_ports(&mut a.next_data[start..start + rg.len as usize], nb);
             }
         }
 
@@ -1271,28 +1446,28 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         //     messages share one non-None merge class (see [`crate::msg`]).
         //     Shrunk ranges leave dead space in the swap buffer; it is
         //     reclaimed by the next round's `resize`.
-        for &r in &self.touched {
+        for &r in &a.touched {
             let r = r as usize;
-            let rg = self.inbox_ranges[r];
+            let rg = a.inbox_ranges[r];
             let len = rg.len as usize;
             if len > 1 {
                 let start = rg.start as usize;
-                let new_len = merge_range(&mut self.next_data[start..start + len]);
+                let new_len = merge_range(&mut a.next_data[start..start + len]);
                 if new_len != len {
                     self.stats.merged_messages += (len - new_len) as u64;
-                    self.inbox_ranges[r].len = new_len as u32;
+                    a.inbox_ranges[r].len = new_len as u32;
                 }
             }
         }
 
         // 6. Account and swap the double buffers / schedule sets.
         self.stats.messages += sent_this_round;
-        self.staged.clear();
-        std::mem::swap(&mut self.inbox_data, &mut self.next_data);
-        std::mem::swap(&mut self.msg_active, &mut self.touched);
-        self.touched.clear();
-        std::mem::swap(&mut self.nonidle, &mut self.nonidle_next);
-        self.nonidle_next.clear();
+        a.staged.clear();
+        std::mem::swap(&mut a.inbox_data, &mut a.next_data);
+        std::mem::swap(&mut a.msg_active, &mut a.touched);
+        a.touched.clear();
+        std::mem::swap(&mut a.nonidle, &mut a.nonidle_next);
+        a.nonidle_next.clear();
 
         if let (Some(t), Some(d)) = (self.transcript.as_mut(), digest) {
             t.push(d.finish(self.round));
@@ -1323,12 +1498,12 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         // enabled.
         let mut digest = self.transcript.is_some().then(RoundDigest::new);
         if let Some(d) = digest.as_mut() {
-            for &v in &self.visit {
+            for &v in &self.arena.visit {
                 let v = v as usize;
-                let rg = self.inbox_ranges[v];
+                let rg = self.arena.inbox_ranges[v];
                 if rg.len != 0 {
                     let start = rg.start as usize;
-                    for inc in &self.inbox_data[start..start + rg.len as usize] {
+                    for inc in &self.arena.inbox_data[start..start + rg.len as usize] {
                         d.absorb(v as u64, inc.from_port as u64, inc.msg.words());
                     }
                 }
@@ -1340,22 +1515,25 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         // &mut pieces to the pool while sharing the read-only plane.
         let Simulator {
             programs,
-            inbox_data,
-            next_data,
-            inbox_ranges,
-            msg_active,
-            nonidle,
-            count,
-            touched,
-            staged: _,
-            nonidle_next,
-            visit,
-            timers,
-            timer_armed,
+            arena:
+                SimArena {
+                    inbox_data,
+                    next_data,
+                    inbox_ranges,
+                    msg_active,
+                    nonidle,
+                    count,
+                    touched,
+                    nonidle_next,
+                    visit,
+                    timers,
+                    timer_armed,
+                    par,
+                    ..
+                },
             round,
             stats,
             transcript,
-            par,
             ..
         } = self;
         let visit: &[u32] = visit;
@@ -1738,12 +1916,12 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     fn fast_forward_to(&mut self, limit: u64, allowance: u64, require_timer: bool) -> u64 {
         if !self.fast_forward
             || self.wake_all
-            || !self.msg_active.is_empty()
-            || !self.nonidle.is_empty()
+            || !self.arena.msg_active.is_empty()
+            || !self.arena.nonidle.is_empty()
         {
             return 0;
         }
-        let target = match self.timers.keys().next() {
+        let target = match self.arena.timers.keys().next() {
             Some(&w) => w.min(limit),
             None if require_timer => return 0,
             None => limit,
@@ -2258,6 +2436,88 @@ mod tests {
         sim.run_rounds(2);
         assert!(sim.programs()[2].fired);
         assert_eq!(sim.programs()[1].heard, 1);
+    }
+
+    /// Records the active-set size of every executed round.
+    struct ActiveLog(Vec<usize>);
+    impl crate::RoundObserver for ActiveLog {
+        fn on_round(&mut self, info: RoundInfo) -> bool {
+            self.0.push(info.active);
+            true
+        }
+    }
+
+    #[test]
+    fn install_visits_only_the_declared_initial_set() {
+        let g = generators::grid2d(5, 8);
+        let sources = [3usize, 27];
+        let mut fresh = Simulator::new(&g, Flood::network(40, &sources));
+        fresh.run_until_quiet(100);
+
+        let mut arena = SimArena::new();
+        for _ in 0..2 {
+            let mut sim = Simulator::install(&g, Flood::network(40, &sources), &sources, arena);
+            let mut log = ActiveLog(Vec::new());
+            sim.run_until_quiet_observed(100, &mut log);
+            // Round 0 visits the two sources, not all 40 nodes; the run is
+            // otherwise the fresh simulator's, round for round.
+            assert_eq!(log.0[0], 2);
+            assert_eq!(sim.stats(), fresh.stats());
+            let dist = |s: &Simulator<'_, Flood>| -> Vec<_> {
+                s.programs().iter().map(|p| p.dist).collect()
+            };
+            assert_eq!(dist(&sim), dist(&fresh));
+            arena = sim.into_parts().1;
+        }
+    }
+
+    /// Sleeps on a timed wake-up and counts the visits at that round.
+    struct Alarm {
+        wake: u64,
+        rang: u32,
+    }
+    impl NodeProgram for Alarm {
+        fn round(&mut self, ctx: &mut RoundCtx<'_>) {
+            if ctx.round() == self.wake {
+                self.rang += 1;
+            }
+        }
+        fn next_wake(&self) -> Option<u64> {
+            (self.rang == 0).then_some(self.wake)
+        }
+    }
+
+    /// Rounds restart at 0 in every install, so wake rounds an earlier
+    /// install armed — fired, or still pending when it stopped — must be
+    /// armable again: every wake of every install fires.
+    #[test]
+    fn reinstall_rearms_the_wakes_an_earlier_install_armed() {
+        let g = generators::path(9);
+        let all: Vec<usize> = (0..9).collect();
+        let alarms = || -> Vec<Alarm> {
+            (0..9)
+                .map(|v| Alarm {
+                    wake: 2 + v as u64 % 3,
+                    rang: 0,
+                })
+                .collect()
+        };
+        let mut arena = SimArena::new();
+        // The middle install stops at round 3, with the round-3 and
+        // round-4 wakes still on the wheel.
+        for rounds in [6u64, 3, 6, 6] {
+            let mut sim = Simulator::install(&g, alarms(), &all, arena);
+            sim.run_rounds(rounds);
+            assert_eq!(sim.round(), rounds);
+            for a in sim.programs() {
+                let due = a.wake < rounds;
+                assert_eq!(a.rang, u32::from(due), "wake at {} of {rounds}", a.wake);
+            }
+            if rounds == 6 {
+                assert!(sim.is_quiescent());
+            }
+            arena = sim.into_parts().1;
+        }
     }
 }
 

@@ -7,6 +7,10 @@
 //! message plane is fully exercised — staging, counting pass, scatter,
 //! buffer swap), warms the scratch buffers up, and then asserts that
 //! hundreds of further steps perform **zero** allocations.
+//!
+//! The counter is process-wide, so the pins run one after another inside a
+//! single `#[test]`: a sibling test running concurrently in this binary
+//! would otherwise leak its allocations into the measured windows.
 
 use nas_congest::{Msg, NodeProgram, RoundCtx, Simulator};
 use nas_graph::generators;
@@ -60,8 +64,15 @@ impl NodeProgram for Ring {
     }
 }
 
+/// Every pin of this file, in sequence (see the module docs).
 #[test]
 fn steady_state_step_performs_zero_allocations() {
+    ring_on_cycle();
+    echo_on_irregular_graph();
+    ring_with_pool_active();
+}
+
+fn ring_on_cycle() {
     let n = 512;
     let g = generators::cycle(n);
     let programs: Vec<Ring> = (0..n).map(|_| Ring { tokens_seen: 0 }).collect();
@@ -88,8 +99,7 @@ fn steady_state_step_performs_zero_allocations() {
 /// The guarantee holds on irregular topologies too: a preferential-
 /// attachment graph has wildly varying degrees, so inbox ranges differ
 /// per node and per round.
-#[test]
-fn steady_state_zero_alloc_on_irregular_graph() {
+fn echo_on_irregular_graph() {
     let n = 300;
     let g = generators::preferential_attachment(n, 3, 7);
 
@@ -132,8 +142,7 @@ fn steady_state_zero_alloc_on_irregular_graph() {
 /// parallel step performs zero allocations *across all worker threads*
 /// (the counting allocator is global, so worker-thread allocations would
 /// be caught here too).
-#[test]
-fn steady_state_zero_alloc_with_pool_active() {
+fn ring_with_pool_active() {
     use nas_par::WorkerPool;
     use std::sync::Arc;
 

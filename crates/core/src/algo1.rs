@@ -41,8 +41,9 @@
 //! are made deterministic (smallest ids first) so the centralized and
 //! distributed implementations agree bit-for-bit — asserted in tests.
 
-use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, Simulator};
+use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, SimArena, Simulator};
 use nas_graph::Graph;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a vertex knows about one discovered center.
@@ -137,18 +138,16 @@ impl SmallKnowledge {
         match self.entries.binary_search_by_key(&c, |&(k, _)| k) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, e)),
             Err(i) => {
-                // Skip the 1→2 growth step: nearly every table that gets
-                // one entry gets several (a node hears from most of its
-                // neighbors). Kept to 4 — at 10^7 vertices every entry of
-                // initial reserve is ~120 MiB of RSS, so the floor is the
-                // knowledge plane's biggest memory lever.
-                if self.entries.capacity() == 0 {
-                    self.entries.reserve(4);
-                }
                 self.entries.insert(i, (c, e));
                 None
             }
         }
+    }
+
+    /// Reserves room for exactly `additional` more entries (no growth
+    /// slack).
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
     }
 
     /// Iterates `(center, entry)` in ascending center order.
@@ -172,7 +171,7 @@ impl SmallKnowledge {
         self.entries.capacity() * std::mem::size_of::<(u32, KnownCenter)>()
     }
 
-    /// Drops excess capacity (reserve floor, growth slack). Harvest paths
+    /// Drops excess capacity (growth slack). Harvest paths
     /// call this on every table they retain: the knowledge plane lives on
     /// through interconnection, and at 10^7 vertices the slack alone is
     /// hundreds of MiB of RSS.
@@ -316,6 +315,12 @@ fn accept_round(
     candidates: &[(u32, u32)],
 ) -> bool {
     let before = knowledge.len();
+    if before == 0 {
+        // Size a fresh table to this round's intake: a table filled in a
+        // single round (every table of a δ = 1 phase) then carries no
+        // growth slack for the harvest to shrink.
+        knowledge.reserve_exact(candidates.len().min(cap));
+    }
     for &(c, sender) in candidates {
         if c == self_id {
             continue;
@@ -462,10 +467,15 @@ pub struct Algo1Protocol {
     /// the per-visit "earliest future phase" query from a table scan into
     /// two bit operations.
     dist_mask: u64,
-    /// Reusable per-node scratch for one round's `(center, sender)`
-    /// candidate arrivals — spares a heap allocation per visited node per
-    /// round on the accept path.
-    cands: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    /// Scratch for one visit's `(center, sender)` candidate arrivals. A
+    /// node needs it only during its own visit, so one buffer per executing
+    /// thread (the caller's, or a pool lane's) replaces one per vertex: no
+    /// per-node allocation while the protocol runs, and none to free when
+    /// its knowledge is harvested.
+    static CANDIDATES: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Algo1Protocol {
@@ -484,10 +494,11 @@ impl Algo1Protocol {
             forwards: Vec::new(),
             forwards_phase: 0,
             start_round,
-            pending: true,
+            // Only a center has a spontaneous first act (its round-0
+            // broadcast); a non-center's first round is a no-op.
+            pending: is_center,
             wake_at: None,
             dist_mask: 0,
-            cands: Vec::new(),
         }
     }
 
@@ -567,22 +578,25 @@ impl NodeProgram for Algo1Protocol {
             } else {
                 p_now // same phase, one slot earlier
             };
-            self.cands.clear();
-            self.cands.extend(ctx.inbox().iter().map(|inc| {
-                (
-                    inc.msg.word(0) as u32,
-                    ctx.neighbor(inc.from_port as usize) as u32,
-                )
-            }));
-            self.cands.sort_unstable();
             let dist = p as u32 + 1;
-            if accept_round(
-                ctx.id() as u32,
-                &mut self.knowledge,
-                capacity(self.deg, self.is_center),
-                dist,
-                &self.cands,
-            ) {
+            let accepted = CANDIDATES.with_borrow_mut(|cands| {
+                cands.clear();
+                cands.extend(ctx.inbox().iter().map(|inc| {
+                    (
+                        inc.msg.word(0) as u32,
+                        ctx.neighbor(inc.from_port as usize) as u32,
+                    )
+                }));
+                cands.sort_unstable();
+                accept_round(
+                    ctx.id() as u32,
+                    &mut self.knowledge,
+                    capacity(self.deg, self.is_center),
+                    dist,
+                    cands,
+                )
+            });
+            if accepted {
                 self.dist_mask |= 1u64 << dist.min(63);
             }
         }
@@ -645,9 +659,10 @@ impl NodeProgram for Algo1Protocol {
             .map(|d| self.start_round + 1 + (d - 1) * width);
     }
 
-    /// Before its schedule starts (and at round 0 for centers) every node is
-    /// pending; afterwards `round` recomputes at each visit whether any
-    /// spontaneous send remains in the current phase. Nodes with nothing
+    /// A center is pending until its round-0 broadcast (and a non-center,
+    /// which has nothing to send until a message arrives, never is before
+    /// its first visit); afterwards `round` recomputes at each visit whether
+    /// any spontaneous send remains in the current phase. Nodes with nothing
     /// left to forward go idle and are only re-visited when a message
     /// arrives or their [`next_wake`](NodeProgram::next_wake) appointment
     /// fires — on high-skew graphs this is the difference between `O(n)`
@@ -666,49 +681,40 @@ impl NodeProgram for Algo1Protocol {
     }
 }
 
-/// Runs Algorithm 1 on the CONGEST simulator.
+/// Runs Algorithm 1 on the CONGEST simulator, installed into `arena`.
 ///
 /// Returns the same [`PopularityInfo`] as [`algo1_centralized`] plus the
-/// exact round/message accounting.
+/// exact round/message accounting. The run reports to `hooks`' round
+/// observer (which may cancel it) and attaches `hooks`' worker pool; on
+/// cancellation (`hooks.stopped`) the returned knowledge is truncated
+/// mid-protocol — callers must check the flag and discard it.
+///
+/// Only the centers act in the first round (see [`Simulator::install`]).
 pub fn algo1_distributed(
     g: &Graph,
     is_center: &[bool],
     deg: usize,
     delta: u64,
-) -> (PopularityInfo, RunStats) {
-    algo1_distributed_hooked(g, is_center, deg, delta, &mut RunHooks::none())
-}
-
-/// [`algo1_distributed`] with execution hooks: the simulator run reports to
-/// `hooks`' round observer (which may cancel it) and attaches `hooks`'
-/// worker pool. On cancellation (`hooks.stopped`) the returned knowledge is
-/// truncated mid-protocol — callers must check the flag and discard it.
-pub fn algo1_distributed_hooked(
-    g: &Graph,
-    is_center: &[bool],
-    deg: usize,
-    delta: u64,
+    arena: &mut SimArena,
     hooks: &mut RunHooks<'_>,
 ) -> (PopularityInfo, RunStats) {
     let n = g.num_vertices();
     assert_eq!(is_center.len(), n);
+    let centers: Vec<usize> = (0..n).filter(|&v| is_center[v]).collect();
     let programs: Vec<Algo1Protocol> = (0..n)
         .map(|v| Algo1Protocol::new(is_center[v], deg, delta))
         .collect();
-    let mut sim = Simulator::new(g, programs);
+    let mut sim = Simulator::install(g, programs, &centers, std::mem::take(arena));
     hooks.attach(&mut sim);
     sim.run_rounds_observed(algo1_rounds(deg, delta), hooks);
     let stats = *sim.stats();
-    let mut knowledge: Vec<Knowledge> = sim
-        .into_programs()
-        .into_iter()
-        .map(|p| p.into_knowledge())
-        .collect();
+    let (programs, kept) = sim.into_parts();
+    *arena = kept;
+    let mut knowledge: Vec<Knowledge> = programs.into_iter().map(|p| p.into_knowledge()).collect();
     let popular = collect_popular(&knowledge, is_center, deg);
     note_knowledge_peak(&knowledge);
     // Peak noted; shrink what the rest of the phase retains (see the
-    // centralized twin) — the reserve floor and growth slack dominate RSS
-    // at 10^7 vertices.
+    // centralized twin) — growth slack dominates RSS at 10^7 vertices.
     for k in &mut knowledge {
         k.shrink_to_fit();
     }
@@ -840,7 +846,14 @@ mod tests {
             let n = g.num_vertices();
             let centers = all_centers(n);
             let a = algo1_centralized(&g, &centers, deg, delta);
-            let (b, stats) = algo1_distributed(&g, &centers, deg, delta);
+            let (b, stats) = algo1_distributed(
+                &g,
+                &centers,
+                deg,
+                delta,
+                &mut SimArena::new(),
+                &mut RunHooks::none(),
+            );
             assert_eq!(a, b, "mismatch on n={n}, deg={deg}, delta={delta}");
             assert_eq!(stats.rounds, algo1_rounds(deg, delta));
         }
@@ -851,7 +864,14 @@ mod tests {
         let g = generators::connected_gnp(70, 0.05, 23);
         let is_center: Vec<bool> = (0..70).map(|v| v % 3 == 0).collect();
         let a = algo1_centralized(&g, &is_center, 4, 5);
-        let (b, _) = algo1_distributed(&g, &is_center, 4, 5);
+        let (b, _) = algo1_distributed(
+            &g,
+            &is_center,
+            4,
+            5,
+            &mut SimArena::new(),
+            &mut RunHooks::none(),
+        );
         assert_eq!(a, b);
     }
 

@@ -27,9 +27,9 @@
 use crate::algo1::{self, PopularityInfo};
 use crate::interconnect::{self, Interconnection};
 use crate::supercluster::{self, Superclustering};
-use nas_congest::{RunHooks, RunStats};
+use nas_congest::{RunHooks, RunStats, SimArena};
 use nas_graph::Graph;
-use nas_ruling::{ruling_set_centralized, ruling_set_distributed_hooked, RulingParams, RulingSet};
+use nas_ruling::{ruling_set_centralized, ruling_set_distributed, RulingParams, RulingSet};
 
 /// The per-phase primitives the spanner phase loop is generic over.
 ///
@@ -179,48 +179,34 @@ impl PhaseEngine for CentralizedEngine {
 /// `nas-congest` simulator; `stats().rounds` is the measured running time
 /// the paper's Corollary 2.9 bounds.
 ///
-/// Every sub-protocol runs on the arena message plane with active-set
-/// scheduling (see the `nas-congest` crate docs), so a phase's wall-clock
-/// cost tracks the work its messages actually do, not `n` per round. The
-/// protocols declare their spontaneity through `NodeProgram::is_idle`
-/// (schedule-driven senders report non-idle until done); the golden-run
-/// regression tests pin that the produced spanners and round/message
-/// accounting are bit-identical to the pre-arena simulator.
-#[derive(Debug, Clone, Copy, Default)]
+/// One engine owns **one simulator arena per build** ([`SimArena`],
+/// created by [`CongestEngine::new`]): every stage of every phase installs
+/// its programs into it and hands it back with its capacities kept, so the
+/// n-sized scheduler arrays, the message plane (cut back to O(n) after a
+/// burst) and the worker lanes' buckets are allocated once per build rather
+/// than once per stage. An installed stage's first round visits only the stage's
+/// declared spontaneous actors (centers, `W`, roots, initiators), so a
+/// stage costs O(active), not O(n), in simulator work. The protocols
+/// declare their spontaneity through `NodeProgram::is_idle` (schedule-driven
+/// senders report non-idle until done); the golden-run regression tests pin
+/// that the produced spanners and round/message accounting are
+/// bit-identical to the pre-arena simulator.
+#[derive(Debug, Default)]
 pub struct CongestEngine {
     stats: RunStats,
     phase_rounds: u64,
+    arena: SimArena,
 }
 
 impl CongestEngine {
-    /// A fresh engine with zeroed accounting.
+    /// A fresh engine with zeroed accounting and an empty arena.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn charge(&mut self, s: &RunStats) {
+    fn charge<T>(&mut self, (out, s): (T, RunStats)) -> T {
         self.phase_rounds += s.rounds;
-        self.stats.merge(s);
-    }
-
-    /// Stage-level profiling tap: with the `NAS_STAGE_TIMING` environment
-    /// variable set, every simulated operation prints its name, round
-    /// count, and wall time to stderr. The per-phase records in the
-    /// session report aggregate whole phases; this is the next level down
-    /// when chasing where a phase's wall clock goes.
-    fn timed<T>(&mut self, stage: &str, op: impl FnOnce(&mut Self) -> (T, RunStats)) -> T {
-        let trace = std::env::var_os("NAS_STAGE_TIMING").is_some();
-        let t0 = trace.then(std::time::Instant::now);
-        let (out, s) = op(self);
-        if let Some(t0) = t0 {
-            eprintln!(
-                "stage {stage:<14} rounds={:>6} msgs={:>9} wall={:?}",
-                s.rounds,
-                s.messages,
-                t0.elapsed()
-            );
-        }
-        self.charge(&s);
+        self.stats.merge(&s);
         out
     }
 }
@@ -235,9 +221,8 @@ impl PhaseEngine for CongestEngine {
         delta: u64,
         hooks: &mut RunHooks<'_>,
     ) -> PopularityInfo {
-        self.timed("algo1", |_| {
-            algo1::algo1_distributed_hooked(g, is_center, deg, delta, hooks)
-        })
+        let run = algo1::algo1_distributed(g, is_center, deg, delta, &mut self.arena, hooks);
+        self.charge(run)
     }
 
     fn ruling_set(
@@ -247,9 +232,8 @@ impl PhaseEngine for CongestEngine {
         params: RulingParams,
         hooks: &mut RunHooks<'_>,
     ) -> RulingSet {
-        self.timed("ruling", |_| {
-            ruling_set_distributed_hooked(g, w, params, hooks)
-        })
+        let run = ruling_set_distributed(g, w, params, &mut self.arena, hooks);
+        self.charge(run)
     }
 
     fn supercluster(
@@ -260,9 +244,15 @@ impl PhaseEngine for CongestEngine {
         depth: u64,
         hooks: &mut RunHooks<'_>,
     ) -> Superclustering {
-        self.timed("supercluster", |_| {
-            supercluster::supercluster_distributed_hooked(g, roots, centers, depth, hooks)
-        })
+        let run = supercluster::supercluster_distributed(
+            g,
+            roots,
+            centers,
+            depth,
+            &mut self.arena,
+            hooks,
+        );
+        self.charge(run)
     }
 
     fn interconnect(
@@ -277,9 +267,15 @@ impl PhaseEngine for CongestEngine {
         // Trace-backs complete within δ·(deg+1) + 4 rounds (Lemma 2.6's
         // pipelining argument with our exact constants).
         let max_rounds = deg as u64 * delta + delta + 4;
-        self.timed("interconnect", |_| {
-            interconnect::interconnect_distributed_hooked(g, info, initiators, max_rounds, hooks)
-        })
+        let run = interconnect::interconnect_distributed(
+            g,
+            info,
+            initiators,
+            max_rounds,
+            &mut self.arena,
+            hooks,
+        );
+        self.charge(run)
     }
 
     fn take_phase_rounds(&mut self) -> u64 {

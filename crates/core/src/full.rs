@@ -2,8 +2,8 @@
 //! cross-check of the [`crate::engine::PhaseEngine`] backends.
 //!
 //! [`crate::driver::build_distributed`] runs the shared phase loop over a
-//! [`crate::engine::CongestEngine`], which executes each step in its own
-//! simulator and stitches results together outside the network — faithful
+//! [`crate::engine::CongestEngine`], which executes each step as its own
+//! simulator run and stitches results together outside the network — faithful
 //! for round accounting, but the stitching uses global knowledge (e.g. it
 //! skips the ruling set when `W_i` is empty, something no real node could
 //! know).
@@ -27,7 +27,7 @@
 //! precisely the quantity Lemma 2.8 / Corollary 2.9 bound. The produced
 //! spanner is asserted (in tests) to be identical to both other backends.
 
-use crate::algo1::{algo1_rounds, Algo1Protocol};
+use crate::algo1::{algo1_rounds, Algo1Protocol, Knowledge};
 use crate::driver::PhaseStats;
 use crate::interconnect::TraceProtocol;
 use crate::params::{ParamError, Params, Schedule};
@@ -93,7 +93,7 @@ pub struct FullProtocol {
     algo1: Option<Algo1Protocol>,
     ruling: Option<RulingProtocol>,
     sc: Option<SuperclusterProtocol>,
-    trace: Option<TraceProtocol>,
+    trace: Option<TraceProtocol<Knowledge>>,
     /// Spanner edges this node marked, accumulated across phases.
     edges: Vec<(u32, u32)>,
 }
@@ -179,7 +179,9 @@ impl NodeProgram for FullProtocol {
         if r == w.inter {
             let spanned = self.sc.as_ref().and_then(|sc| sc.root()).is_some();
             let initiator = self.is_center && (concluding || !spanned);
-            let knowledge = self.algo1.as_ref().expect("algo1 ran").knowledge();
+            // Algorithm 1 is over for this phase: its table moves into the
+            // trace stage, which only reads it.
+            let knowledge = self.algo1.take().expect("algo1 ran").into_knowledge();
             self.trace = Some(TraceProtocol::new_at(initiator, knowledge, r));
         }
 

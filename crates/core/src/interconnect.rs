@@ -16,9 +16,10 @@
 //! distinct centers, so the step completes in `O(deg_i · δ_i)` rounds
 //! (Lemma 2.8's interconnection term).
 
-use crate::algo1::PopularityInfo;
-use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, Simulator};
+use crate::algo1::{Knowledge, PopularityInfo};
+use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, SimArena, Simulator};
 use nas_graph::{EdgeSet, Graph};
+use std::borrow::Borrow;
 
 /// Output of one interconnection step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,12 +53,17 @@ pub fn interconnect_centralized(
 }
 
 /// Per-node state of the distributed trace-back protocol.
+///
+/// Parent pointers are read straight from the node's Algorithm 1
+/// knowledge table `K` — borrowed (`&Knowledge`) by the staged runner, so
+/// nothing is copied per vertex, or owned by a composite protocol that has
+/// no further use for the table.
 #[derive(Debug, Clone)]
-pub struct TraceProtocol {
+pub struct TraceProtocol<K> {
     is_initiator: bool,
-    /// Parent (vertex id) per known center, from Algorithm 1, sorted by
-    /// center id (looked up by binary search).
-    parent_of: Vec<(u32, u32)>,
+    /// Algorithm 1's table at this node: the parent per known center,
+    /// center-ascending (looked up by binary search).
+    knowledge: K,
     /// Centers already forwarded (dedup), kept sorted for binary search.
     forwarded: Vec<u32>,
     /// Outgoing `(port, center)` entries in arrival order. One flat FIFO
@@ -65,7 +71,9 @@ pub struct TraceProtocol {
     /// each port every round and keeping the rest in order is exactly the
     /// per-port-FIFO schedule, without `degree` queue allocations per node.
     pending: Vec<(u32, u32)>,
-    /// Whether the schedule has started (`local == 0` ran).
+    /// Whether the node's spontaneous first act is done: an initiator
+    /// enqueues its traces when its schedule starts (`local == 0`); every
+    /// other node has nothing to do until a trace reaches it.
     started: bool,
     /// Edges this node marked (as (self, neighbor)).
     marked: Vec<(u32, u32)>,
@@ -75,27 +83,21 @@ pub struct TraceProtocol {
     start_round: u64,
 }
 
-impl TraceProtocol {
+impl<K: Borrow<Knowledge>> TraceProtocol<K> {
     /// Creates the program for one node from its Algorithm 1 knowledge
     /// (schedule starts at round 0).
-    pub fn new(is_initiator: bool, knowledge: &crate::algo1::Knowledge) -> Self {
+    pub fn new(is_initiator: bool, knowledge: K) -> Self {
         Self::new_at(is_initiator, knowledge, 0)
     }
 
     /// Creates the program with its schedule offset to `start_round`.
-    pub fn new_at(
-        is_initiator: bool,
-        knowledge: &crate::algo1::Knowledge,
-        start_round: u64,
-    ) -> Self {
+    pub fn new_at(is_initiator: bool, knowledge: K, start_round: u64) -> Self {
         TraceProtocol {
             is_initiator,
-            // `Knowledge::iter` is center-ascending, so this is already
-            // sorted for binary search.
-            parent_of: knowledge.iter().map(|(&c, e)| (c, e.parent)).collect(),
+            knowledge,
             forwarded: Vec::new(),
             pending: Vec::new(),
-            started: false,
+            started: !is_initiator,
             marked: Vec::new(),
             initiated: 0,
             start_round,
@@ -136,9 +138,9 @@ impl TraceProtocol {
             Ok(_) => return,
             Err(i) => self.forwarded.insert(i, c),
         }
-        let parent = match self.parent_of.binary_search_by_key(&c, |&(k, _)| k) {
-            Ok(i) => self.parent_of[i].1,
-            Err(_) => panic!("node {} asked to trace unknown center {c}", ctx.id()),
+        let parent = match self.knowledge.borrow().get(&c) {
+            Some(e) => e.parent,
+            None => panic!("node {} asked to trace unknown center {c}", ctx.id()),
         };
         let port = Self::port_of(ctx, parent);
         self.marked.push((ctx.id() as u32, parent));
@@ -146,7 +148,7 @@ impl TraceProtocol {
     }
 }
 
-impl NodeProgram for TraceProtocol {
+impl<K: Borrow<Knowledge>> NodeProgram for TraceProtocol<K> {
     fn round(&mut self, ctx: &mut RoundCtx<'_>) {
         let Some(local) = ctx.round().checked_sub(self.start_round) else {
             return; // schedule not started yet
@@ -154,16 +156,15 @@ impl NodeProgram for TraceProtocol {
         if local == 0 {
             self.started = true;
             if self.is_initiator {
-                self.initiated = self.parent_of.len();
-                for i in 0..self.parent_of.len() {
-                    let (c, parent) = self.parent_of[i];
-                    let port = Self::port_of(ctx, parent);
-                    self.marked.push((ctx.id() as u32, parent));
+                let knowledge = self.knowledge.borrow();
+                self.initiated = knowledge.len();
+                for (&c, e) in knowledge {
+                    let port = Self::port_of(ctx, e.parent);
+                    self.marked.push((ctx.id() as u32, e.parent));
                     self.pending.push((port as u32, c));
                 }
                 // All centers enqueued, in ascending order.
-                self.forwarded
-                    .extend(self.parent_of.iter().map(|&(c, _)| c));
+                self.forwarded.extend(knowledge.keys());
             }
         } else {
             for i in 0..ctx.inbox().len() {
@@ -192,40 +193,35 @@ impl NodeProgram for TraceProtocol {
         self.pending.truncate(w);
     }
 
-    /// Non-idle until the schedule's first round has run: every node has a
-    /// spontaneous `local == 0` action (queue setup, initiators enqueue), so
+    /// An initiator is non-idle until its schedule's first round has run:
+    /// it has a spontaneous `local == 0` action (enqueueing its traces), so
     /// under the activity contract it must keep itself scheduled until then
     /// — this matters for `new_at(start_round > 0)` on a standalone
     /// simulator, where nothing else would wake the node at its start round.
-    /// Afterwards, idle exactly when the outgoing queues have drained.
+    /// Every node is then idle exactly when its outgoing queue has drained.
     fn is_idle(&self) -> bool {
         self.started && self.pending.is_empty()
     }
 }
 
-/// Runs the distributed interconnection step.
+/// Runs the distributed interconnection step, installed into `arena`.
 ///
 /// `max_rounds` caps the run (use `deg·δ + δ + 4`); the protocol must go
-/// quiet within it, which is asserted.
+/// quiet within it, which is asserted. The run reports to `hooks`' round
+/// observer (which may cancel it) and attaches `hooks`' worker pool. On
+/// cancellation (`hooks.stopped`) the must-go-quiet assertion is waived and
+/// the returned edges are partial — callers must check the flag and discard
+/// them.
+///
+/// Only the initiators act in the first round (see [`Simulator::install`]),
+/// so a step without initiators executes one empty round. The programs
+/// borrow `info`'s knowledge tables instead of copying them.
 pub fn interconnect_distributed(
     g: &Graph,
     info: &PopularityInfo,
     initiators: &[usize],
     max_rounds: u64,
-) -> (Interconnection, RunStats) {
-    interconnect_distributed_hooked(g, info, initiators, max_rounds, &mut RunHooks::none())
-}
-
-/// [`interconnect_distributed`] with execution hooks: the simulator run
-/// reports to `hooks`' round observer (which may cancel it) and attaches
-/// `hooks`' worker pool. On cancellation (`hooks.stopped`) the
-/// must-go-quiet assertion is waived and the returned edges are partial —
-/// callers must check the flag and discard them.
-pub fn interconnect_distributed_hooked(
-    g: &Graph,
-    info: &PopularityInfo,
-    initiators: &[usize],
-    max_rounds: u64,
+    arena: &mut SimArena,
     hooks: &mut RunHooks<'_>,
 ) -> (Interconnection, RunStats) {
     let n = g.num_vertices();
@@ -233,10 +229,10 @@ pub fn interconnect_distributed_hooked(
     for &v in initiators {
         is_initiator[v] = true;
     }
-    let programs: Vec<TraceProtocol> = (0..n)
+    let programs: Vec<TraceProtocol<&Knowledge>> = (0..n)
         .map(|v| TraceProtocol::new(is_initiator[v], &info.knowledge[v]))
         .collect();
-    let mut sim = Simulator::new(g, programs);
+    let mut sim = Simulator::install(g, programs, initiators, std::mem::take(arena));
     hooks.attach(&mut sim);
     let outcome = sim.run_until_quiet_observed(max_rounds, hooks);
     assert!(
@@ -244,7 +240,8 @@ pub fn interconnect_distributed_hooked(
         "interconnection did not finish within {max_rounds} rounds"
     );
     let stats = *sim.stats();
-    let programs = sim.into_programs();
+    let (programs, kept) = sim.into_parts();
+    *arena = kept;
     let mut edges = EdgeSet::new(n);
     let mut paths = 0usize;
     for p in &programs {
@@ -261,6 +258,23 @@ mod tests {
     use super::*;
     use crate::algo1::algo1_centralized;
     use nas_graph::{generators, DistanceMap};
+
+    fn run(
+        g: &Graph,
+        info: &PopularityInfo,
+        initiators: &[usize],
+        max_rounds: u64,
+    ) -> (Interconnection, RunStats) {
+        let mut arena = SimArena::new();
+        interconnect_distributed(
+            g,
+            info,
+            initiators,
+            max_rounds,
+            &mut arena,
+            &mut RunHooks::none(),
+        )
+    }
 
     /// Shared check: both implementations add the same edge set, and every
     /// initiator can reach each known center in the added edges at the exact
@@ -279,7 +293,7 @@ mod tests {
         let initiators = initiators.as_slice();
         let a = interconnect_centralized(g, &info, initiators);
         let max = deg as u64 * delta + delta + 4;
-        let (b, _) = interconnect_distributed(g, &info, initiators, max);
+        let (b, _) = run(g, &info, initiators, max);
 
         let mut ae: Vec<_> = a.edges.iter().collect();
         let mut be: Vec<_> = b.edges.iter().collect();
@@ -341,7 +355,7 @@ mod tests {
         let a = interconnect_centralized(&g, &info, &[]);
         assert!(a.edges.is_empty());
         assert_eq!(a.paths, 0);
-        let (b, stats) = interconnect_distributed(&g, &info, &[], 50);
+        let (b, stats) = run(&g, &info, &[], 50);
         assert!(b.edges.is_empty());
         // Quiet immediately after the first round.
         assert!(stats.rounds <= 2);
@@ -355,7 +369,7 @@ mod tests {
         let info = algo1_centralized(&g, &[true; 6], 10, 2);
         let initiators = vec![2, 3, 4, 5];
         let a = interconnect_centralized(&g, &info, &initiators);
-        let (b, _) = interconnect_distributed(&g, &info, &initiators, 100);
+        let (b, _) = run(&g, &info, &initiators, 100);
         let mut ae: Vec<_> = a.edges.iter().collect();
         let mut be: Vec<_> = b.edges.iter().collect();
         ae.sort_unstable();

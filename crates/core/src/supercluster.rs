@@ -18,7 +18,7 @@
 //!    Shared path prefixes are confirmed once, and the union of marked edges
 //!    equals the union of root→center tree paths.
 
-use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, Simulator};
+use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, SimArena, Simulator};
 use nas_graph::{bfs, EdgeSet, Graph};
 
 /// Output of one superclustering step.
@@ -232,26 +232,20 @@ impl NodeProgram for SuperclusterProtocol {
     }
 }
 
-/// Runs the distributed superclustering step and packages the result.
+/// Runs the distributed superclustering step, installed into `arena`, and
+/// packages the result.
+///
+/// The run reports to `hooks`' round observer (which may cancel it) and
+/// attaches `hooks`' worker pool. On cancellation (`hooks.stopped`) the
+/// returned forest is truncated mid-protocol — callers must check the flag
+/// and discard it. Only the roots act in the first round (see
+/// [`Simulator::install`]), so a step without roots costs no visits.
 pub fn supercluster_distributed(
     g: &Graph,
     roots: &[usize],
     centers: &[usize],
     depth: u64,
-) -> (Superclustering, RunStats) {
-    supercluster_distributed_hooked(g, roots, centers, depth, &mut RunHooks::none())
-}
-
-/// [`supercluster_distributed`] with execution hooks: the simulator run
-/// reports to `hooks`' round observer (which may cancel it) and attaches
-/// `hooks`' worker pool. On cancellation (`hooks.stopped`) the returned
-/// forest is truncated mid-protocol — callers must check the flag and
-/// discard it.
-pub fn supercluster_distributed_hooked(
-    g: &Graph,
-    roots: &[usize],
-    centers: &[usize],
-    depth: u64,
+    arena: &mut SimArena,
     hooks: &mut RunHooks<'_>,
 ) -> (Superclustering, RunStats) {
     let n = g.num_vertices();
@@ -266,11 +260,12 @@ pub fn supercluster_distributed_hooked(
     let programs: Vec<SuperclusterProtocol> = (0..n)
         .map(|v| SuperclusterProtocol::new(is_root[v], is_center[v], depth))
         .collect();
-    let mut sim = Simulator::new(g, programs);
+    let mut sim = Simulator::install(g, programs, roots, std::mem::take(arena));
     hooks.attach(&mut sim);
     sim.run_rounds_observed(SuperclusterProtocol::total_rounds(depth), hooks);
     let stats = *sim.stats();
-    let programs = sim.into_programs();
+    let (programs, kept) = sim.into_parts();
+    *arena = kept;
 
     let root: Vec<Option<u32>> = programs.iter().map(|p| p.root()).collect();
     let parent: Vec<Option<u32>> = programs.iter().map(|p| p.parent()).collect();
@@ -346,7 +341,14 @@ mod tests {
             let n = g.num_vertices();
             let centers: Vec<usize> = (0..n).filter(|v| v % 2 == 0).collect();
             let a = supercluster_centralized(&g, &roots, &centers, depth);
-            let (b, stats) = supercluster_distributed(&g, &roots, &centers, depth);
+            let (b, stats) = supercluster_distributed(
+                &g,
+                &roots,
+                &centers,
+                depth,
+                &mut SimArena::new(),
+                &mut RunHooks::none(),
+            );
             assert_eq!(a.root, b.root, "roots differ");
             assert_eq!(a.assignment, b.assignment, "assignment differs");
             // Path edge sets are equal (as sets).

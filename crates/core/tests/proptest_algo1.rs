@@ -1,6 +1,7 @@
 //! Property-based tests for Algorithm 1 (Appendix A): Lemma A.1 and
 //! Theorem 2.1 on random graphs, center sets and thresholds.
 
+use nas_congest::{RunHooks, SimArena};
 use nas_core::algo1::{algo1_centralized, algo1_distributed};
 use nas_graph::{generators, DistanceMap};
 use proptest::prelude::*;
@@ -95,7 +96,14 @@ proptest! {
         let g = generators::gnp(n, p, seed);
         let is_center: Vec<bool> = (0..n).map(|v| v % 2 == 0).collect();
         let a = algo1_centralized(&g, &is_center, deg, delta);
-        let (b, _) = algo1_distributed(&g, &is_center, deg, delta);
+        let (b, _) = algo1_distributed(
+            &g,
+            &is_center,
+            deg,
+            delta,
+            &mut SimArena::new(),
+            &mut RunHooks::none(),
+        );
         prop_assert_eq!(a, b);
     }
 

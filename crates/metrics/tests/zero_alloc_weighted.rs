@@ -42,12 +42,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Both pins of this file, in sequence: the allocation counter is
+/// process-wide, so a sibling test running concurrently in this binary
+/// would leak its allocations into the measured windows.
+#[test]
+fn steady_state_weighted_batch_audit_performs_zero_allocations() {
+    one_shape();
+    alternating_shapes();
+}
+
 /// After one warmup batch, repeated weighted batch audits of the same
 /// shape are allocation-free: the flat batch, the per-lane delta-stepping
 /// scratches (bucket array included), and the shard cut tables are all
 /// reused, and the pool's job dispatch is allocation-free by construction.
-#[test]
-fn steady_state_weighted_batch_audit_performs_zero_allocations() {
+fn one_shape() {
     let n = 600;
     let g = generators::weighted_gnp(n, 6.0 / n as f64, 9, WeightDist::Uniform { lo: 1, hi: 40 });
     // 4 lanes regardless of host cores: the cross-thread dispatch machinery
@@ -81,8 +89,7 @@ fn steady_state_weighted_batch_audit_performs_zero_allocations() {
 /// The same guarantee holds when the batch alternates between two weighted
 /// graphs of different sizes and weight ranges (the audit pattern: G rows
 /// and H rows through one scratch), once both shapes are warm.
-#[test]
-fn steady_state_zero_alloc_across_alternating_weighted_shapes() {
+fn alternating_shapes() {
     let big = generators::weighted_grid2d(30, 30, 5, WeightDist::Uniform { lo: 1, hi: 100 });
     let small = generators::weighted_path(150, 6, WeightDist::Uniform { lo: 1, hi: 9 });
     let pool = Arc::new(WorkerPool::new(3));

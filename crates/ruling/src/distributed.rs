@@ -15,7 +15,7 @@
 use crate::centralized::assemble;
 use crate::digits::DigitPlan;
 use crate::result::{RulingParams, RulingSet};
-use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, Simulator};
+use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, SimArena, Simulator};
 use nas_graph::Graph;
 
 /// Per-node state of the distributed ruling-set protocol.
@@ -187,13 +187,20 @@ impl NodeProgram for RulingProtocol {
 }
 
 /// Computes a `(q+1, cq)`-ruling set for `w` by running the distributed
-/// protocol on the CONGEST simulator. Returns the result together with the
-/// exact round/message accounting.
+/// protocol on the CONGEST simulator, installed into `arena`. Returns the
+/// result together with the exact round/message accounting.
 ///
 /// The returned membership is identical to
 /// [`ruling_set_centralized`](crate::ruling_set_centralized) (asserted by the
 /// test suite); killer pointers may differ between the two implementations
 /// but both satisfy the `cq` domination radius.
+///
+/// The run reports to `hooks`' round observer (which may cancel it) and
+/// attaches `hooks`' worker pool. When the observer cancels the run
+/// (`hooks.stopped`), the returned set is assembled from the truncated
+/// protocol state and is **not** a valid ruling set — callers must check
+/// `hooks.stopped` and discard it. Only the members of `w` act in the
+/// first round (see [`Simulator::install`]).
 ///
 /// # Panics
 ///
@@ -202,25 +209,7 @@ pub fn ruling_set_distributed(
     g: &Graph,
     w: &[usize],
     params: RulingParams,
-) -> (RulingSet, RunStats) {
-    ruling_set_distributed_hooked(g, w, params, &mut RunHooks::none())
-}
-
-/// [`ruling_set_distributed`] with execution hooks: the simulator run
-/// reports to `hooks`' round observer (which may cancel it) and attaches
-/// `hooks`' worker pool.
-///
-/// When the observer cancels the run (`hooks.stopped`), the returned set is
-/// assembled from the truncated protocol state and is **not** a valid
-/// ruling set — callers must check `hooks.stopped` and discard it.
-///
-/// # Panics
-///
-/// Panics if a vertex of `w` is out of range.
-pub fn ruling_set_distributed_hooked(
-    g: &Graph,
-    w: &[usize],
-    params: RulingParams,
+    arena: &mut SimArena,
     hooks: &mut RunHooks<'_>,
 ) -> (RulingSet, RunStats) {
     let n = g.num_vertices();
@@ -241,11 +230,12 @@ pub fn ruling_set_distributed_hooked(
     let programs: Vec<RulingProtocol> = (0..n)
         .map(|v| RulingProtocol::new(n, params, in_w[v]))
         .collect();
-    let mut sim = Simulator::new(g, programs);
+    let mut sim = Simulator::install(g, programs, w, std::mem::take(arena));
     hooks.attach(&mut sim);
     sim.run_rounds_observed(RulingProtocol::total_rounds(n, params), hooks);
     let stats = *sim.stats();
-    let programs = sim.into_programs();
+    let (programs, kept) = sim.into_parts();
+    *arena = kept;
     let active: Vec<bool> = programs.iter().map(|p| p.active).collect();
     let killer: Vec<Option<u32>> = programs.iter().map(|p| p.killer).collect();
     (assemble(n, &in_w, &active, &killer), stats)
@@ -256,6 +246,10 @@ mod tests {
     use super::*;
     use crate::centralized::ruling_set_centralized;
     use nas_graph::{generators, DistanceMap};
+
+    fn run(g: &Graph, w: &[usize], params: RulingParams) -> (RulingSet, RunStats) {
+        ruling_set_distributed(g, w, params, &mut SimArena::new(), &mut RunHooks::none())
+    }
 
     fn assert_valid(g: &Graph, w: &[usize], params: RulingParams, rs: &RulingSet) {
         for (idx, &a) in rs.members.iter().enumerate() {
@@ -293,7 +287,7 @@ mod tests {
                 RulingParams::new(4, 2),
             ] {
                 let central = ruling_set_centralized(g, &w, params);
-                let (dist, stats) = ruling_set_distributed(g, &w, params);
+                let (dist, stats) = run(g, &w, params);
                 assert_eq!(central.members, dist.members, "membership differs on n={n}");
                 assert_eq!(stats.rounds, RulingProtocol::total_rounds(n, params));
                 assert_valid(g, &w, params, &dist);
@@ -323,7 +317,7 @@ mod tests {
     #[test]
     fn empty_w_short_circuits() {
         let g = generators::path(5);
-        let (rs, stats) = ruling_set_distributed(&g, &[], RulingParams::new(2, 2));
+        let (rs, stats) = run(&g, &[], RulingParams::new(2, 2));
         assert!(rs.is_empty());
         assert_eq!(stats.rounds, 0);
     }
@@ -340,7 +334,7 @@ mod tests {
         let g = b.build();
         let w: Vec<usize> = (0..8).collect();
         let params = RulingParams::new(2, 2);
-        let (rs, _) = ruling_set_distributed(&g, &w, params);
+        let (rs, _) = run(&g, &w, params);
         // Each path component must contain at least one member.
         assert!(rs.members.iter().any(|&m| m < 4));
         assert!(rs.members.iter().any(|&m| m >= 4));

@@ -70,5 +70,5 @@ mod result;
 
 pub use centralized::ruling_set_centralized;
 pub use digits::DigitPlan;
-pub use distributed::{ruling_set_distributed, ruling_set_distributed_hooked, RulingProtocol};
+pub use distributed::{ruling_set_distributed, RulingProtocol};
 pub use result::{RulingParams, RulingSet};

@@ -2,6 +2,7 @@
 //! random graphs with random parameters, and the distributed protocol agrees
 //! with the centralized reference.
 
+use nas_congest::{RunHooks, SimArena};
 use nas_graph::{generators, DistanceMap, Graph};
 use nas_ruling::{ruling_set_centralized, ruling_set_distributed, RulingParams};
 use proptest::prelude::*;
@@ -68,7 +69,13 @@ proptest! {
         let w: Vec<usize> = (0..n).filter(|v| v % 2 == 0).collect();
         let params = RulingParams::new(q, c);
         let a = ruling_set_centralized(&g, &w, params);
-        let (b, _) = ruling_set_distributed(&g, &w, params);
+        let (b, _) = ruling_set_distributed(
+            &g,
+            &w,
+            params,
+            &mut SimArena::new(),
+            &mut RunHooks::none(),
+        );
         prop_assert_eq!(a.members, b.members);
     }
 
@@ -93,8 +100,11 @@ proptest! {
         let g = generators::gnp(n, 0.15, seed);
         let w: Vec<usize> = (0..n).collect();
         let params = RulingParams::new(2, 2);
-        let (a, sa) = ruling_set_distributed(&g, &w, params);
-        let (b, sb) = ruling_set_distributed(&g, &w, params);
+        // The second run reuses the first one's arena.
+        let mut arena = SimArena::new();
+        let mut run = || ruling_set_distributed(&g, &w, params, &mut arena, &mut RunHooks::none());
+        let (a, sa) = run();
+        let (b, sb) = run();
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
     }

@@ -53,6 +53,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -108,6 +109,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The input; `pos` always sits on a char boundary of it.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -224,13 +227,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control byte in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so this is
-                    // always well-formed).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote, backslash or control byte in one step. Those
+                    // are ASCII, which never occurs inside a multi-byte
+                    // UTF-8 sequence, so both ends of the run are char
+                    // boundaries of the (already validated) `&str` input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -381,6 +387,27 @@ mod tests {
         assert_eq!(opt_u64(None), "null");
         assert_eq!(opt_u64(Some(7)), "7");
         assert_eq!(num(2.5), "2.5");
+    }
+
+    /// String decoding is linear: a 1 MiB single-string body parses, with
+    /// multi-byte characters intact.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = "é🦀x".repeat((1 << 20) / 7);
+        let doc = format!("{{\"path\":\"{long}\\n\"}}");
+        assert!(doc.len() >= 1 << 20);
+        let v = Json::parse(&doc).unwrap();
+        let got = v.get("path").unwrap().as_str().unwrap();
+        assert_eq!(got.len(), long.len() + 1);
+        assert!(got.starts_with("é🦀xé🦀"));
+        assert!(got.ends_with("🦀x\n"));
+    }
+
+    #[test]
+    fn multibyte_characters_round_trip() {
+        for s in ["é", "🦀", "a\"é\\🦀\nz", "🦀🦀é"] {
+            assert_eq!(Json::parse(&escape(s)).unwrap().as_str(), Some(s));
+        }
     }
 
     #[test]

@@ -2,8 +2,16 @@
 //! equivalence through the new surface, the observer event plane's ordering
 //! guarantees, and budget/thread knobs.
 
-use nas_core::{Backend, Event, EventLog, Params, Session, SessionError};
+use nas_congest::{RoundInfo, RoundObserver, RunHooks, RunStats};
+use nas_core::algo1::PopularityInfo;
+use nas_core::interconnect::Interconnection;
+use nas_core::supercluster::Superclustering;
+use nas_core::{
+    build_with_engine, Backend, CongestEngine, Event, EventLog, Params, PhaseEngine, Session,
+    SessionError,
+};
 use nas_graph::{generators, EdgeSet, Graph};
+use nas_ruling::{RulingParams, RulingSet};
 
 fn sorted(s: &EdgeSet) -> Vec<(usize, usize)> {
     let mut v: Vec<_> = s.iter().collect();
@@ -252,4 +260,175 @@ fn report_carries_schedule_stretch_and_timings() {
     assert_eq!(r.stretch.beta_envelope, beta_env);
     assert_eq!(r.stretch.alpha_nominal, r.schedule.alpha_nominal());
     assert_eq!(r.stretch.beta_nominal, r.schedule.beta_nominal());
+}
+
+/// One stage call seen by [`StageProbe`].
+struct StageCall {
+    stage: &'static str,
+    /// The stage's declared spontaneous actors (centers, `W`, roots,
+    /// initiators).
+    initial: usize,
+    /// `(round, active)` of every executed round.
+    visits: Vec<(u64, usize)>,
+    /// Rounds the stage counted (executed plus fast-forwarded).
+    rounds: u64,
+    messages: u64,
+}
+
+/// Records each executed round's index and active-set size.
+struct Visits(Vec<(u64, usize)>);
+
+impl RoundObserver for Visits {
+    fn on_round(&mut self, info: RoundInfo) -> bool {
+        self.0.push((info.round, info.active));
+        true
+    }
+}
+
+/// A `PhaseEngine` that runs every stage on a `CongestEngine` under its own
+/// round observer and records what each stage visited.
+struct StageProbe {
+    inner: CongestEngine,
+    calls: Vec<StageCall>,
+}
+
+impl StageProbe {
+    fn call<T>(
+        &mut self,
+        stage: &'static str,
+        initial: usize,
+        op: impl FnOnce(&mut CongestEngine, &mut RunHooks<'_>) -> T,
+    ) -> T {
+        let mut visits = Visits(Vec::new());
+        let before = self.inner.stats();
+        let out = op(&mut self.inner, &mut RunHooks::observed(&mut visits));
+        let after = self.inner.stats();
+        self.calls.push(StageCall {
+            stage,
+            initial,
+            visits: visits.0,
+            rounds: after.rounds - before.rounds,
+            messages: after.messages - before.messages,
+        });
+        out
+    }
+}
+
+impl PhaseEngine for StageProbe {
+    fn detect_popular(
+        &mut self,
+        g: &Graph,
+        centers: &[usize],
+        is_center: &[bool],
+        deg: usize,
+        delta: u64,
+        _hooks: &mut RunHooks<'_>,
+    ) -> PopularityInfo {
+        self.call("algo1", centers.len(), |e, h| {
+            e.detect_popular(g, centers, is_center, deg, delta, h)
+        })
+    }
+
+    fn ruling_set(
+        &mut self,
+        g: &Graph,
+        w: &[usize],
+        params: RulingParams,
+        _hooks: &mut RunHooks<'_>,
+    ) -> RulingSet {
+        self.call("ruling", w.len(), |e, h| e.ruling_set(g, w, params, h))
+    }
+
+    fn supercluster(
+        &mut self,
+        g: &Graph,
+        roots: &[usize],
+        centers: &[usize],
+        depth: u64,
+        _hooks: &mut RunHooks<'_>,
+    ) -> Superclustering {
+        self.call("supercluster", roots.len(), |e, h| {
+            e.supercluster(g, roots, centers, depth, h)
+        })
+    }
+
+    fn interconnect(
+        &mut self,
+        g: &Graph,
+        info: &PopularityInfo,
+        initiators: &[usize],
+        deg: usize,
+        delta: u64,
+        _hooks: &mut RunHooks<'_>,
+    ) -> Interconnection {
+        self.call("interconnect", initiators.len(), |e, h| {
+            e.interconnect(g, info, initiators, deg, delta, h)
+        })
+    }
+
+    fn take_phase_rounds(&mut self) -> u64 {
+        self.inner.take_phase_rounds()
+    }
+
+    fn stats(&self) -> RunStats {
+        self.inner.stats()
+    }
+}
+
+/// Every stage of a build installs into the engine's one arena and starts
+/// from its declared spontaneous actors, not a full wake-up: round 0 visits
+/// exactly that set, and a stage with an empty set visits nothing, sends
+/// nothing, and still counts its rounds — an interconnection without
+/// initiators its one round, a superclustering without roots its whole
+/// `2·depth + 2`. The build is the `Session` build, bit for bit.
+#[test]
+fn zero_message_stages_visit_only_their_declared_initial_set() {
+    // Every phase-0 center is popular (no initiators) and phase 1 has no
+    // popular center (no superclustering roots).
+    let g = generators::preferential_attachment(3000, 4, 42);
+    let params = Params::practical(0.5, 4, 0.45);
+    let mut probe = StageProbe {
+        inner: CongestEngine::new(),
+        calls: Vec::new(),
+    };
+    let built = build_with_engine(&g, params, &mut probe).unwrap();
+    let session = Session::on(&g)
+        .params(params)
+        .backend(Backend::Congest)
+        .run()
+        .unwrap();
+    assert_eq!(sorted(&built.spanner), sorted(&session.spanner));
+    assert_eq!(built.stats, session.stats);
+
+    for c in &probe.calls {
+        if let Some(&(0, active)) = c.visits.first() {
+            assert_eq!(active, c.initial, "{}: round 0 visits", c.stage);
+        }
+        if c.initial == 0 {
+            let visited: usize = c.visits.iter().map(|&(_, a)| a).sum();
+            assert_eq!(visited, 0, "{}: an empty stage visited nodes", c.stage);
+            assert_eq!(c.messages, 0, "{}: an empty stage sent", c.stage);
+        }
+    }
+    let empty = |stage: &str| -> Vec<&StageCall> {
+        probe
+            .calls
+            .iter()
+            .filter(|c| c.stage == stage && c.initial == 0)
+            .collect()
+    };
+    let idle_interconnects = empty("interconnect");
+    assert!(!idle_interconnects.is_empty(), "no initiator-free phase");
+    for c in idle_interconnects {
+        assert_eq!((c.rounds, c.visits.len()), (1, 1));
+    }
+    let rootless = empty("supercluster");
+    assert!(!rootless.is_empty(), "no rootless superclustering");
+    for c in rootless {
+        assert!(c.rounds >= 2, "superclustering counts its whole schedule");
+        assert!(
+            c.visits.is_empty(),
+            "an eventless schedule executes nothing"
+        );
+    }
 }
