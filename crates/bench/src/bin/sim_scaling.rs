@@ -44,7 +44,7 @@
 //! compact store.
 //!
 //! `--threads` sets the worker-pool lane count (default: `NAS_THREADS` env,
-//! else available parallelism); `--threads 1` runs the pure sequential path
+//! else available parallelism); `--threads 1` runs every round on one lane
 //! with no pool attached. `--compare-threads 1,4` runs the flood suite once
 //! per listed lane count — transcripts are bit-identical across counts, so
 //! the runs differ only in wall clock. `--workloads pref_attach,gnp`
@@ -60,6 +60,12 @@
 //! record samples its own end-of-leg RSS (`leg_rss_mib`, VmRSS) next to
 //! the process-lifetime high-water mark (`peak_rss_process_mib`, VmHWM) —
 //! only the former is a per-leg footprint.
+//!
+//! Every spanner leg asserts the paper's guarantees — `H ⊆ G`, at most
+//! `schedule.total_round_bound()` rounds, and a settled partition of `V` —
+//! and every hop-distance audit leg asserts the schedule's `(1+ε, β)`
+//! stretch envelope on its sampled pairs, so a broken guarantee fails the
+//! run instead of only showing up in its output.
 //!
 //! `--smoke` is the CI configuration: `n = 10^5`, spanner + audit at
 //! `10^4`, asserting the same invariants at a size that finishes in
@@ -353,6 +359,20 @@ fn run_spanner(name: &str, g: &Graph, threads: usize, store: Store) -> (Record, 
         .run()
         .expect("valid parameters");
     let wall = t.elapsed();
+    // The paper's guarantees, checked rather than printed: H ⊆ G, the
+    // schedule's round bound, and every vertex settling exactly once
+    // (Corollary 2.5).
+    let sub = r.spanner.verify_subgraph_of(g);
+    assert!(sub.is_ok(), "{name}: spanner edge {sub:?} not in G");
+    let bound = r.schedule.total_round_bound();
+    assert!(
+        r.stats.rounds <= bound,
+        "{name}: {} rounds exceed the schedule bound {bound}",
+        r.stats.rounds
+    );
+    if let Err(e) = nas_core::cluster::verify_settled_partition(n, &r.settled) {
+        panic!("{name}: settled partition broken: {e}");
+    }
     println!(
         "spanner  | {name:<28} | n={n:>8} m={:>8} | threads={threads} | rounds={:>7} skipped={:>7} msgs={:>9} busiest={:>8} | edges={:>9} | {:>9.3?} ({:.2} Mmsg/s) | peak_rss={:.0} MiB",
         g.num_edges(),
@@ -415,6 +435,11 @@ fn run_audit(name: &str, g: &Graph, report: &Report, threads: usize, samples: us
     assert_eq!(
         audit.disconnected_pairs, 0,
         "{name}: spanner lost connectivity"
+    );
+    let (alpha_env, beta_env) = report.schedule.stretch_envelope();
+    assert!(
+        audit.satisfies(alpha_env - 1.0, beta_env),
+        "{name}: a sampled pair breaks the ({alpha_env}, {beta_env}) stretch envelope"
     );
     let mvert_per_s = (2 * samples * n) as f64 / wall.as_secs_f64() / 1e6;
     println!(

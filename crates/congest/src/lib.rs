@@ -31,15 +31,16 @@
 //! simulator routes messages through a flat, double-buffered arena instead
 //! of `n` per-node `Vec`s:
 //!
-//! * During a round, every send is appended to one flat **staging buffer**
-//!   `(receiver, Incoming)` in send order, while a per-receiver counter
-//!   array tallies how many messages each receiver will get.
-//! * At the end of the round a **counting pass** over the (sorted) touched
-//!   receivers lays out CSR-style ranges — `inbox_start[v]`, `inbox_len[v]`
-//!   into one flat `Vec<Incoming>` — and a **stable scatter pass** moves
-//!   each staged message into its receiver's range. Stability plus
-//!   sender-ascending visit order keeps every inbox sorted by sender id,
-//!   the delivery order the determinism contract promises.
+//! * During a round, every send is appended to a flat **staging bucket**
+//!   `(receiver, Incoming)` in send order — one bucket per lane and
+//!   receiver range, so a run without a pool stages into a single bucket.
+//! * At the end of the round a **counting pass** over the staged sends
+//!   tallies how many messages each receiver will get and lays out
+//!   CSR-style ranges over the sorted receivers — `inbox_start[v]`,
+//!   `inbox_len[v]` into one flat `Vec<Incoming>` — and a **stable scatter
+//!   pass** moves each staged message into its receiver's range. Stability
+//!   plus sender-ascending visit order keeps every inbox sorted by sender
+//!   id, the delivery order the determinism contract promises.
 //! * The flat delivery buffer and the scatter target **swap roles** every
 //!   round; all scratch vectors are reused, so a steady-state
 //!   [`Simulator::step`] performs **zero heap allocation** (pinned by the
@@ -68,8 +69,8 @@
 //!   ([`Simulator::set_bcast_threshold`], default
 //!   [`DEFAULT_BCAST_THRESHOLD`]) stages one broadcast record instead of
 //!   `deg` copies; the counting and scatter passes expand it against the
-//!   sender's sorted adjacency slice — per receiver-range on the
-//!   parallel path, forming a degree-bucketed broadcast tree. Expansion
+//!   sender's sorted adjacency slice — per receiver range, forming a
+//!   degree-bucketed broadcast tree on several lanes. Expansion
 //!   happens at the record's staged position, so delivery order, stats,
 //!   digests, and transcripts are bit-identical to the per-port loop.
 //!
@@ -110,8 +111,8 @@
 //!
 //! A simulator's graph-independent working state — the n-sized inbox
 //! ranges, counters and armed-timer slots, the message and staging
-//! buffers, the visit and timer scratch, and the worker lanes' buckets —
-//! lives in a [`SimArena`]. [`Simulator::new`] builds a fresh one per run.
+//! buffers, the visit and timer scratch, and the lanes' buckets — lives in
+//! a [`SimArena`]. [`Simulator::new`] builds a fresh one per run.
 //! A driver that runs many protocols back to back over one graph (the
 //! stages of a spanner build) keeps a single arena instead:
 //!
@@ -119,8 +120,8 @@
 //!    run starts at round 0 with zeroed accounting, like a fresh
 //!    simulator. Messages still in flight and wake-ups still pending from
 //!    the previous run are dropped in O(leftover); the n-sized arrays are
-//!    rebuilt only when `n` changes, and the lane plane only when the pool
-//!    does.
+//!    rebuilt only when `n` changes, and a pool's lane plane only when the
+//!    pool does.
 //! 2. The run executes as usual.
 //! 3. [`Simulator::into_parts`] hands the programs and the arena back with
 //!    capacities kept — except that a message buffer a burst grew past one
@@ -162,10 +163,15 @@
 //!
 //! # Determinism under parallelism
 //!
-//! Attaching a worker pool ([`Simulator::set_pool`], built on `nas-par`)
-//! shards each round across threads while keeping transcripts **bit-
-//! identical** to the sequential path at every thread count. The argument
-//! rests entirely on *contiguity*:
+//! Every round runs one round function, sharded over *lanes*. Without a
+//! pool, and for rounds that visit fewer nodes than the dispatch threshold
+//! ([`Simulator::set_par_threshold`]), it runs on one lane of the calling
+//! thread; attaching a worker pool ([`Simulator::set_pool`], built on
+//! `nas-par`) shards larger rounds across the pool's threads. One lane runs
+//! the same code as several: its round is the case of a single shard that
+//! spans the whole visit list and a single receiver range that spans every
+//! node. Transcripts are therefore **bit-identical** at every lane count by
+//! *contiguity* alone:
 //!
 //! * **Sender side.** The sorted visit list is split into contiguous
 //!   shards, one per lane; lane `w` runs its shard's programs in visit
@@ -173,32 +179,33 @@
 //!   sends into its own arenas. Because the shards partition an ascending
 //!   id list, "lane order, then within-lane order" *is* the global
 //!   sender-ascending order — concatenating the lanes' staged streams
-//!   reproduces the sequential staging stream exactly, no sorting needed.
+//!   reproduces the one-lane staging stream exactly, no sorting needed.
 //! * **Receiver side.** Staged sends are bucketed by contiguous
 //!   *receiver ranges* (range `j` owns node ids `[j·c, (j+1)·c)`). The
 //!   counting pass runs one lane per range (each lane walks every sender
 //!   lane's bucket for its range, in lane order), and the per-range sorted
 //!   `touched` lists concatenate — again by contiguity — into the globally
 //!   sorted receiver list, so the CSR layout (`inbox_start`) matches the
-//!   sequential counting pass value-for-value. The scatter then runs one
+//!   one-lane counting pass value-for-value. The scatter then runs one
 //!   lane per range into *disjoint* spans of the delivery buffer, walking
 //!   sender lanes in lane order, which fills every inbox sender-ascending:
 //!   the exact delivery order the determinism contract promises.
 //! * **Digest.** The per-round delivery digest folds
 //!   `(receiver, port, words)` receiver-ascending; it is a pure function of
-//!   the *previous* round's scatter, so the parallel path computes it from
-//!   the inbox plane before sharding — byte-identical by construction.
+//!   the *previous* round's scatter, so the round computes it from the
+//!   inbox plane before sharding — byte-identical by construction.
 //!
 //! Program execution itself is unordered across lanes, which is sound for
 //! the same reason the active-set scheduler is: a [`NodeProgram`] can only
 //! read its own state and its inbox, never a neighbor's state, so rounds
-//! have no intra-round data flow. The per-lane arenas are allocated at
-//! [`Simulator::set_pool`] and reused, keeping the steady-state round
-//! zero-allocation with the pool active (also pinned by `zero_alloc`).
-//! `tests/par_differential.rs` checks all of this message-for-message
-//! against both the sequential path and the reference simulator at thread
-//! counts 1/2/3/8, and the golden transcripts are asserted verbatim at
-//! every thread count.
+//! have no intra-round data flow. The per-lane arenas are allocated with
+//! their plane (the one-lane plane by the first run over a vertex count,
+//! a pool's by [`Simulator::set_pool`]) and reused, keeping the
+//! steady-state round zero-allocation on either (also pinned by
+//! `zero_alloc`). `tests/par_differential.rs` checks all of this
+//! message-for-message between unpooled runs, pools of 1/2/3/8 lanes and
+//! the reference simulator, and the golden transcripts are asserted
+//! verbatim at every lane count.
 //!
 //! # Example: distributed BFS flood
 //!

@@ -40,15 +40,11 @@ pub struct RoundInfo {
     pub round: u64,
     /// Messages sent during this round.
     pub messages: u64,
-    /// Nodes visited by this round: message receivers, nodes that reported
-    /// non-idle, and nodes whose timed wake-up ([`NodeProgram::next_wake`])
-    /// came due (the union may double-count a node that is in more than one
-    /// of those sets); `n` on a full wake-up round, and the declared initial
-    /// set on the first round of an installed run
-    /// ([`crate::Simulator::install`]). `0` when the observer
-    /// opted out of detail ([`RoundObserver::wants_round_detail`]) —
-    /// counting the active set costs a sorted-list merge the
-    /// pure-cancellation observers (round budgets) should not pay.
+    /// Nodes visited by this round, each counted once: the union of message
+    /// receivers, nodes that reported non-idle, and nodes whose timed
+    /// wake-up ([`NodeProgram::next_wake`]) came due; `n` on a full wake-up
+    /// round, and the declared initial set on the first round of an
+    /// installed run ([`crate::Simulator::install`]).
     pub active: usize,
 }
 
@@ -63,13 +59,6 @@ pub trait RoundObserver {
     /// loops consult this once per run; when `false`, no [`RoundInfo`] is
     /// computed and [`on_round`](RoundObserver::on_round) is never called.
     fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Whether this observer reads [`RoundInfo::active`]. Consulted once
-    /// per run; observers that only count rounds (budget enforcement with
-    /// no listener) return `false` and skip the per-round active-set merge.
-    fn wants_round_detail(&self) -> bool {
         true
     }
 
@@ -189,12 +178,6 @@ impl<'a> RunHooks<'a> {
 impl RoundObserver for RunHooks<'_> {
     fn enabled(&self) -> bool {
         self.observer.as_ref().is_some_and(|o| o.enabled())
-    }
-
-    fn wants_round_detail(&self) -> bool {
-        self.observer
-            .as_ref()
-            .is_some_and(|o| o.wants_round_detail())
     }
 
     fn on_round(&mut self, info: RoundInfo) -> bool {

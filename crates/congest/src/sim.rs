@@ -3,9 +3,10 @@
 //! # Message plane
 //!
 //! Messages are routed through a flat, double-buffered **arena** instead of
-//! per-node `Vec`s. During a round every send is appended to one staging
-//! buffer; at the end of the round a counting pass over the staged sends
-//! lays out a CSR-style index (`inbox_start[v] .. inbox_start[v] +
+//! per-node `Vec`s. During a round every send is appended to a staging
+//! bucket of its sender's lane (one lane unless a pool is attached); at the
+//! end of the round a counting pass over the staged sends lays out a
+//! CSR-style index (`inbox_start[v] .. inbox_start[v] +
 //! inbox_len[v]` into one flat `Vec<Incoming>`) and a stable scatter pass
 //! places each message into its receiver's range. The two flat buffers swap
 //! roles every round, so after warm-up [`Simulator::step`] performs **zero
@@ -49,7 +50,7 @@ const BCAST_RECV: u32 = u32::MAX;
 /// Default [`Simulator::set_bcast_threshold`] value: a `send_all` from a
 /// node of at least this degree stages **one** broadcast record instead of
 /// `deg` per-port tuples; the counting/scatter passes expand it against the
-/// sender's CSR neighbor slice (per receiver range on the parallel path — a
+/// sender's CSR neighbor slice (per receiver range on several lanes — a
 /// degree-bucketed broadcast tree). Delivery order, transcripts, and stats
 /// are identical either way; only the staging cost changes. Records win
 /// from very low degrees already (one staged entry and no per-port outbox
@@ -420,9 +421,9 @@ impl Topology<'_> {
     }
 }
 
-/// Monomorphized adjacency access for the round paths. The paths are generic
-/// over this trait, so each store gets its own specialized copy of
-/// `step_seq`/`step_par` — **no virtual call per neighbor** on the hot path.
+/// Monomorphized adjacency access for the round. The round function is
+/// generic over this trait, so each store gets its own specialized copy of
+/// it — **no virtual call per neighbor** on the hot path.
 ///
 /// The flat impl borrows neighbor slices straight from the CSR and resolves
 /// reverse ports from the graph's cached table. The compact impl decodes
@@ -527,9 +528,10 @@ fn convert_deferred_ports(range: &mut [Incoming], neighbors: &[u32]) {
     }
 }
 
-/// Per-lane staging arena for the parallel visit phase. Allocated once when
-/// a pool is attached ([`Simulator::set_pool`]); reused every round, so the
-/// steady state stays allocation-free.
+/// Per-lane staging arena for the visit phase. Built with its
+/// [`ParPlane`] and reused every round, so the steady state stays
+/// allocation-free.
+#[derive(Default)]
 struct WorkerArena {
     /// One staging bucket per receiver range: `(receiver, incoming)` in send
     /// order. `buckets[j]` holds this lane's sends whose receiver falls in
@@ -543,8 +545,8 @@ struct WorkerArena {
     nonidle: Vec<u32>,
     /// Timed wake-ups requested by this lane's idle nodes, in visit order:
     /// `(node, wake round)`. Registered into the shared timer wheel by the
-    /// sequential merge phase (lane order = id order, so registration order
-    /// matches the sequential path exactly).
+    /// merge phase in lane order (= id order), so the registration order is
+    /// the same at every lane count.
     wakes: Vec<(u32, u64)>,
     /// Words sent by this lane this round.
     words: u64,
@@ -554,8 +556,8 @@ struct WorkerArena {
     adj: Vec<u32>,
 }
 
-/// Per-receiver-range merge scratch for the parallel counting/scatter
-/// phases.
+/// Per-receiver-range merge scratch for the counting/scatter phases.
+#[derive(Default)]
 struct RangeArena {
     /// Receivers in this range staged this round, sorted ascending after the
     /// counting phase.
@@ -564,8 +566,11 @@ struct RangeArena {
     adj: Vec<u32>,
 }
 
-/// State for the sharded parallel round path (see the crate-level
-/// "Determinism under parallelism" notes).
+/// The lanes a round is sharded over (see the crate-level "Determinism
+/// under parallelism" notes): one [`WorkerArena`] and one receiver range
+/// per lane of `pool`. Every round runs on one: the attached pool's plane
+/// ([`Simulator::set_pool`]), or the arena's one-lane plane, whose private
+/// pool spawns no thread and runs each phase inline.
 struct ParPlane {
     pool: Arc<WorkerPool>,
     workers: Vec<WorkerArena>,
@@ -584,6 +589,40 @@ struct ParPlane {
     dcuts: Vec<usize>,
 }
 
+impl ParPlane {
+    /// A plane of `pool.threads()` lanes over `n` nodes; call
+    /// [`ParPlane::fit`] before its first round.
+    fn new(pool: Arc<WorkerPool>, n: usize) -> Self {
+        let t = pool.threads();
+        let chunk = n.div_ceil(t).max(1);
+        ParPlane {
+            workers: (0..t)
+                .map(|_| WorkerArena {
+                    buckets: (0..t).map(|_| Vec::new()).collect(),
+                    ..WorkerArena::default()
+                })
+                .collect(),
+            ranges: (0..t).map(|_| RangeArena::default()).collect(),
+            chunk,
+            ncuts: (0..=t).map(|j| (j * chunk).min(n)).collect(),
+            ucuts: (0..=t).collect(),
+            vcuts: Vec::with_capacity(t + 1),
+            pcuts: Vec::with_capacity(t + 1),
+            dcuts: Vec::with_capacity(t + 1),
+            pool,
+        }
+    }
+
+    /// Grows every lane's per-port flags to `max_deg` ports.
+    fn fit(&mut self, max_deg: usize) {
+        for w in &mut self.workers {
+            if w.sent.len() < max_deg {
+                w.sent.resize(max_deg, false);
+            }
+        }
+    }
+}
+
 /// The result of [`Simulator::run_until_quiet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuietOutcome {
@@ -595,8 +634,6 @@ pub struct QuietOutcome {
     pub quiescent: bool,
 }
 
-/// The synchronous, deterministic CONGEST round driver.
-///
 /// One receiver's span in the flat inbox arena: `inbox_data[start ..
 /// start + len]`. Packed to 8 bytes so the per-visit metadata lookup is a
 /// single cache line instead of the two a separate `Vec<usize>` +
@@ -611,7 +648,7 @@ struct InboxRange {
 
 /// The graph-independent working state of a [`Simulator`]: the n-sized
 /// per-node arrays, the message and staging arenas, the visit and timer
-/// scratch, and the per-lane parallel plane.
+/// scratch, and the lane planes rounds are sharded over.
 ///
 /// A [`Simulator::new`] run owns a fresh arena. A driver that runs many
 /// simulations back to back over one graph (the stages of a spanner build)
@@ -638,15 +675,7 @@ pub struct SimArena {
     nonidle: Vec<u32>,
     /// Scratch: per-receiver staged-message counts; all-zero between steps.
     count: Vec<u32>,
-    /// Scratch: receivers staged this round (unsorted until the end of the
-    /// round, then swapped into `msg_active`).
-    touched: Vec<u32>,
-    /// Scratch: this round's sends in send order (sender ascending, port
-    /// order within a sender).
-    staged: Vec<(u32, Incoming)>,
-    /// Scratch: next round's non-idle set, collected in visit order.
-    nonidle_next: Vec<u32>,
-    /// Scratch: this round's visit list.
+    /// This round's visit list (the last executed round's between steps).
     visit: Vec<u32>,
     /// Timer wheel: wake round → nodes with a registered timed wake-up
     /// ([`NodeProgram::next_wake`]) at that round. Entries are popped into
@@ -667,16 +696,12 @@ pub struct SimArena {
     /// Scratch: msg_active ∪ nonidle when `due` is non-empty (the 3-way
     /// union is built as two 2-way merges).
     visit_pre: Vec<u32>,
-    /// Scratch: pooled adjacency decode buffer for the sequential path
-    /// (compact store only; stays empty on flat).
-    adj_scratch: Vec<u32>,
-    /// Scratch: per-port "sent" flags, reused across nodes and rounds.
-    sent_scratch: Vec<bool>,
-    outbox_scratch: Vec<(u32, Msg)>,
-    /// The sharded parallel round path's per-lane arenas, built by
-    /// [`Simulator::set_pool`] and kept for the next install on the same
-    /// pool and vertex count.
+    /// The attached pool's lane plane, built by [`Simulator::set_pool`] and
+    /// kept for the next install on the same pool and vertex count.
     par: Option<ParPlane>,
+    /// The one-lane plane every other round runs on, built by the first
+    /// run over this vertex count and kept from then on.
+    lane: Option<ParPlane>,
 }
 
 impl SimArena {
@@ -705,15 +730,16 @@ impl SimArena {
             self.timer_armed.resize(n, u64::MAX);
             // Lane cuts are derived from `n`.
             self.par = None;
+            self.lane = None;
         }
-        if self.sent_scratch.len() < max_deg {
-            self.sent_scratch.resize(max_deg, false);
-        }
+        self.lane
+            .get_or_insert_with(|| ParPlane::new(Arc::new(WorkerPool::new(1)), n))
+            .fit(max_deg);
     }
 
     /// Cuts every message buffer back to at most `n` slots (split evenly
-    /// over the lane buckets); the dropped slots hold no live message once
-    /// the run is over.
+    /// over each plane's lane buckets); the dropped slots hold no live
+    /// message once the run is over.
     fn trim(&mut self, n: usize) {
         fn cap<T>(v: &mut Vec<T>, slots: usize) {
             if v.capacity() > slots {
@@ -723,10 +749,9 @@ impl SimArena {
         }
         cap(&mut self.inbox_data, n);
         cap(&mut self.next_data, n);
-        cap(&mut self.staged, n);
-        if let Some(par) = self.par.as_mut() {
-            let lanes = par.workers.len();
-            for w in &mut par.workers {
+        for plane in self.par.iter_mut().chain(self.lane.iter_mut()) {
+            let lanes = plane.workers.len();
+            for w in &mut plane.workers {
                 for bucket in &mut w.buckets {
                     cap(bucket, n / (lanes * lanes));
                 }
@@ -762,8 +787,8 @@ impl std::fmt::Debug for SimArena {
 /// Programs must be `Send`: any round may be executed on a worker-pool lane
 /// ([`Simulator::set_pool`]), so program state moves between threads. Every
 /// protocol in this workspace is plain data and satisfies this
-/// automatically; a non-`Send` program (e.g. one holding an `Rc`) would
-/// also be unusable on the parallel path by construction.
+/// automatically; a non-`Send` program (e.g. one holding an `Rc`) could
+/// not run on a pool's lanes by construction.
 pub struct Simulator<'g, P> {
     /// The adjacency plane: borrowed flat CSR or shared compact store.
     topo: Topology<'g>,
@@ -775,15 +800,15 @@ pub struct Simulator<'g, P> {
     /// Visit all nodes next step (fresh simulator, or programs mutated from
     /// outside via [`Simulator::programs_mut`]).
     wake_all: bool,
-    /// Whether rounds may take the sharded parallel path on the arena's
-    /// lane plane (see [`Simulator::set_pool`]).
+    /// Whether rounds may be sharded over the attached pool's lane plane
+    /// (see [`Simulator::set_pool`]).
     pooled: bool,
     round: u64,
     stats: RunStats,
     /// Optional round-by-round transcript (see [`crate::trace`]).
     transcript: Option<Transcript>,
-    /// Minimum visit-list length for a round to take the parallel path (see
-    /// [`Simulator::set_par_threshold`]).
+    /// Minimum visit-list length for a round to run on the pool's lanes
+    /// (see [`Simulator::set_par_threshold`]).
     par_threshold: usize,
     /// Minimum degree for `send_all` to stage a broadcast record (see
     /// [`Simulator::set_bcast_threshold`]).
@@ -794,7 +819,7 @@ pub struct Simulator<'g, P> {
 }
 
 /// Default [`Simulator::set_par_threshold`] value: rounds visiting fewer
-/// nodes than this run sequentially even with a pool attached, because the
+/// nodes than this run on one lane even with a pool attached, because the
 /// cross-thread dispatch latency (a few microseconds per round) dwarfs the
 /// work in a near-empty round — e.g. a flood on a path graph has an O(1)
 /// frontier for ~n rounds. Output is bit-identical either way.
@@ -904,10 +929,11 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     }
 
     /// Attaches a worker pool: from now on every [`step`](Simulator::step)
-    /// runs the sharded parallel round path on `pool`'s lanes. Transcripts,
-    /// stats, and program states are **bit-identical** to the sequential
-    /// path at every thread count — see the crate-level "Determinism under
-    /// parallelism" notes for the argument.
+    /// that visits enough nodes ([`Simulator::set_par_threshold`]) is
+    /// sharded over `pool`'s lanes instead of running on one lane. Both run
+    /// the same round code, and transcripts, stats, and program states are
+    /// **bit-identical** at every lane count — see the crate-level
+    /// "Determinism under parallelism" notes for the argument.
     ///
     /// All per-lane arenas are allocated here (and grown during warm-up
     /// rounds); the steady-state round stays zero-allocation, pool or not
@@ -915,63 +941,25 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// arena already carries the lane plane of this very pool keeps it.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pooled = true;
-        let max_deg = self.topo.max_degree();
-        if let Some(par) = self.arena.par.as_mut() {
-            if Arc::ptr_eq(&par.pool, &pool) {
-                for w in &mut par.workers {
-                    if w.sent.len() < max_deg {
-                        w.sent.resize(max_deg, false);
-                    }
-                }
-                return;
-            }
-        }
-        let n = self.n;
-        let t = pool.threads();
-        let chunk = n.div_ceil(t).max(1);
-        let ncuts: Vec<usize> = (0..=t).map(|j| (j * chunk).min(n)).collect();
-        let workers = (0..t)
-            .map(|_| WorkerArena {
-                buckets: (0..t).map(|_| Vec::new()).collect(),
-                outbox: Vec::new(),
-                sent: vec![false; max_deg],
-                nonidle: Vec::new(),
-                wakes: Vec::new(),
-                words: 0,
-                staged: 0,
-                adj: Vec::new(),
-            })
-            .collect();
-        let ranges = (0..t)
-            .map(|_| RangeArena {
-                touched: Vec::new(),
-                adj: Vec::new(),
-            })
-            .collect();
-        self.arena.par = Some(ParPlane {
-            pool,
-            workers,
-            ranges,
-            chunk,
-            ncuts,
-            ucuts: (0..=t).collect(),
-            vcuts: Vec::with_capacity(t + 1),
-            pcuts: Vec::with_capacity(t + 1),
-            dcuts: Vec::with_capacity(t + 1),
-        });
+        let par = match self.arena.par.take() {
+            Some(par) if Arc::ptr_eq(&par.pool, &pool) => par,
+            _ => ParPlane::new(pool, self.n),
+        };
+        self.arena.par.insert(par).fit(self.topo.max_degree());
     }
 
-    /// Detaches the worker pool; subsequent steps run sequentially.
+    /// Detaches the worker pool; subsequent steps run on one lane.
     pub fn clear_pool(&mut self) {
         self.pooled = false;
     }
 
-    /// Sets the minimum visit-list length for a round to take the parallel
-    /// path (default [`DEFAULT_PAR_THRESHOLD`]). Rounds below it run
-    /// sequentially — dispatching a handful of nodes to the pool costs more
-    /// than visiting them. `0` forces every round onto the pool (the
-    /// differential tests do this to exercise shard-boundary edge cases).
-    /// Both paths are bit-identical, so this only ever affects wall clock.
+    /// Sets the minimum visit-list length for a round to be sharded over
+    /// the attached pool (default [`DEFAULT_PAR_THRESHOLD`]). Rounds below
+    /// it run on one lane — dispatching a handful of nodes to the pool
+    /// costs more than visiting them. `0` forces every round onto the pool
+    /// (the differential tests do this to exercise shard-boundary edge
+    /// cases). The threshold only chooses the lanes a round runs on, never
+    /// its output, so it only ever affects wall clock.
     pub fn set_par_threshold(&mut self, threshold: usize) {
         self.par_threshold = threshold;
     }
@@ -1001,8 +989,8 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// round: final round numbers, [`RunStats`] (except the informational
     /// [`RunStats::skipped_rounds`] counter), transcripts, and program
     /// states are all bit-for-bit the same, at every thread count (the skip
-    /// decision is taken before the sequential/parallel dispatch, so
-    /// `step_seq` and `step_par` see identical rounds).
+    /// decision is taken before a round picks the lanes it runs on, so one
+    /// lane and many lanes see identical rounds).
     ///
     /// Round observers see skipped spans through
     /// [`RoundObserver::on_rounds_skipped`] instead of per-round
@@ -1181,37 +1169,25 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     ///
     /// Performs no heap allocation once all scratch buffers have reached
     /// their steady-state capacities (pinned by `tests/zero_alloc.rs`).
-    /// With a pool attached ([`Simulator::set_pool`]) and enough nodes to
-    /// visit ([`Simulator::set_par_threshold`]), the round runs the sharded
-    /// parallel path with identical observable behavior.
+    /// Every round runs the same sharded round code: on the attached
+    /// pool's lanes ([`Simulator::set_pool`]) when it visits enough nodes
+    /// ([`Simulator::set_par_threshold`]), otherwise on one lane, with
+    /// identical observable behavior.
     pub fn step(&mut self) {
         self.build_visit();
-        let parallel = self.pooled && self.arena.visit.len() >= self.par_threshold;
+        let pooled = self.pooled && self.arena.visit.len() >= self.par_threshold;
         // Resolve the adjacency plane once per round and monomorphize the
-        // round path over it (no per-neighbor dispatch). The flat adapter
+        // round over it (no per-neighbor dispatch). The flat adapter
         // copies `'g` borrows out of the topology; the compact adapter
         // clones the `Arc` — both outlive the `&mut self` round call.
         match &self.topo {
-            Topology::Flat(g) => {
-                // Copies the `&'g Graph` out of the field so the adapter's
-                // borrows are independent of the `self.topo` borrow.
-                let adj = FlatAdj::new(g);
-                if parallel {
-                    self.step_par_impl(&adj);
-                } else {
-                    self.step_seq_impl(&adj);
-                }
-            }
-            Topology::Compact(c) => {
-                let adj = CompactAdj {
+            Topology::Flat(g) => self.step_impl(&FlatAdj::new(g), pooled),
+            Topology::Compact(c) => self.step_impl(
+                &CompactAdj {
                     store: Arc::clone(c),
-                };
-                if parallel {
-                    self.step_par_impl(&adj);
-                } else {
-                    self.step_seq_impl(&adj);
-                }
-            }
+                },
+                pooled,
+            ),
         }
     }
 
@@ -1259,243 +1235,23 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         }
     }
 
-    /// The sequential round path (visit list already built by `step`),
-    /// monomorphized over the adjacency store. On the compact store, staged
-    /// `from_port` fields carry sender ids, converted to ports by the
-    /// conversion pass between scatter and merge (see [`AdjAccess`]).
-    fn step_seq_impl<A: AdjAccess>(&mut self, adj: &A) {
-        let n = self.n;
-        let a = &mut self.arena;
-        let mut digest = self.transcript.is_some().then(RoundDigest::new);
-        let mut sent_this_round = 0u64;
-
-        // 2. Visit: deliver, digest, run the program, stage its sends.
-        for idx in 0..a.visit.len() {
-            let v = a.visit[idx] as usize;
-            let neighbors = adj.adj(v, &mut a.adj_scratch);
-            let deg = neighbors.len();
-            let sent = &mut a.sent_scratch[..deg];
-            sent.fill(false);
-            a.outbox_scratch.clear();
-
-            // `start` is stale for nodes outside `msg_active`, so gate on
-            // the length (zero for every such node by invariant).
-            let rg = a.inbox_ranges[v];
-            let len = rg.len as usize;
-            let inbox: &[Incoming] = if len == 0 {
-                &[]
-            } else {
-                let start = rg.start as usize;
-                &a.inbox_data[start..start + len]
-            };
-            if let Some(d) = digest.as_mut() {
-                for inc in inbox {
-                    d.absorb(v as u64, inc.from_port as u64, inc.msg.words());
-                }
-            }
-
-            let mut ctx = RoundCtx::new(
-                v,
-                n,
-                self.round,
-                neighbors,
-                inbox,
-                &mut a.outbox_scratch,
-                sent,
-                self.bcast_threshold,
-            );
-            self.programs[v].round(&mut ctx);
-
-            // Stage the outbox; actual routing happens in the counting +
-            // scatter passes below. A broadcast record counts against every
-            // neighbor here but stays one staged entry.
-            for &(port, msg) in a.outbox_scratch.iter() {
-                if port == BCAST_PORT {
-                    for &u in neighbors {
-                        if a.count[u as usize] == 0 {
-                            a.touched.push(u);
-                        }
-                        a.count[u as usize] += 1;
-                    }
-                    a.staged.push((
-                        BCAST_RECV,
-                        Incoming {
-                            from_port: v as u32,
-                            msg,
-                        },
-                    ));
-                    self.stats.words += (msg.len() * deg) as u64;
-                    sent_this_round += deg as u64;
-                } else {
-                    let u = neighbors[port as usize];
-                    let from_port = if A::DEFERRED_PORTS {
-                        v as u32
-                    } else {
-                        adj.rev_port(v, port as usize)
-                    };
-                    if a.count[u as usize] == 0 {
-                        a.touched.push(u);
-                    }
-                    a.count[u as usize] += 1;
-                    a.staged.push((u, Incoming { from_port, msg }));
-                    self.stats.words += msg.len() as u64;
-                    sent_this_round += 1;
-                }
-            }
-            if !self.programs[v].is_idle() {
-                a.nonidle_next.push(v as u32);
-            } else if let Some(w) = self.programs[v].next_wake() {
-                // Timed wake-up: the node goes idle with an appointment.
-                // Past/present rounds are ignored per the contract, and
-                // `timer_armed` suppresses exact re-registrations from
-                // intermediate message-driven visits.
-                if w > self.round && a.timer_armed[v] != w {
-                    a.timer_armed[v] = w;
-                    a.timers.entry(w).or_default().push(v as u32);
-                }
-            }
-        }
-
-        // 3. Retire the consumed inboxes (restores the len-is-zero
-        //    invariant before the scatter pass reuses it as a fill cursor).
-        for &r in &a.msg_active {
-            a.inbox_ranges[r as usize].len = 0;
-        }
-
-        // 4. Counting pass: CSR ranges for next round's receivers. Senders
-        //    were visited in id order, so a stable scatter keeps each inbox
-        //    sorted by sender id — the deterministic delivery order we
-        //    promise.
-        a.touched.sort_unstable();
-        let mut acc = 0usize;
-        for &r in &a.touched {
-            a.inbox_ranges[r as usize].start = acc as u32;
-            acc += a.count[r as usize] as usize;
-        }
-        debug_assert_eq!(acc as u64, sent_this_round);
-        // Any `start` written above is only read by the scatter below, so
-        // asserting after the loop still precedes every truncated read.
-        assert!(
-            acc <= u32::MAX as usize,
-            "a single round staged more than u32::MAX deliveries"
-        );
-
-        // 5. Scatter pass (stable): inbox_len doubles as the fill cursor and
-        //    ends up at its final value. Broadcast records expand against
-        //    the sender's neighbor slice, at their staged position, so the
-        //    delivery order matches eager per-port staging exactly. The swap
-        //    buffer is grow-only: the counting pass guarantees every slot of
-        //    `[0, acc)` is written below, and slots past `acc` are never
-        //    read (all reads go through `inbox_start`/`inbox_len` ranges),
-        //    so the placeholder fill is paid once at peak size instead of
-        //    every round.
-        if a.next_data.len() < acc {
-            a.next_data.resize(
-                acc,
-                Incoming {
-                    from_port: 0,
-                    msg: Msg::one(0),
-                },
-            );
-        }
-        for &(u, inc) in &a.staged {
-            if u == BCAST_RECV {
-                let s = inc.from_port as usize;
-                let nb = adj.adj(s, &mut a.adj_scratch);
-                for (p, &u2) in nb.iter().enumerate() {
-                    let from_port = if A::DEFERRED_PORTS {
-                        s as u32
-                    } else {
-                        adj.rev_port(s, p)
-                    };
-                    let rg = &mut a.inbox_ranges[u2 as usize];
-                    let pos = rg.start as usize + rg.len as usize;
-                    a.next_data[pos] = Incoming {
-                        from_port,
-                        msg: inc.msg,
-                    };
-                    rg.len += 1;
-                }
-            } else {
-                let rg = &mut a.inbox_ranges[u as usize];
-                let pos = rg.start as usize + rg.len as usize;
-                a.next_data[pos] = inc;
-                rg.len += 1;
-            }
-        }
-        for &r in &a.touched {
-            a.count[r as usize] = 0;
-        }
-
-        // 5a. Conversion pass (compact store only): staged `from_port`
-        //     fields hold sender ids; resolve each to the sender's port in
-        //     the receiver's sorted neighbor list *before* the merge pass,
-        //     so merge tie-breaks and next round's digests see exactly the
-        //     flat store's values.
-        if A::DEFERRED_PORTS {
-            for &r in &a.touched {
-                let r = r as usize;
-                let rg = a.inbox_ranges[r];
-                let start = rg.start as usize;
-                let nb = adj.adj(r, &mut a.adj_scratch);
-                convert_deferred_ports(&mut a.next_data[start..start + rg.len as usize], nb);
-            }
-        }
-
-        // 5b. Merge pass: collapse each receiver's range when all its
-        //     messages share one non-None merge class (see [`crate::msg`]).
-        //     Shrunk ranges leave dead space in the swap buffer; it is
-        //     reclaimed by the next round's `resize`.
-        for &r in &a.touched {
-            let r = r as usize;
-            let rg = a.inbox_ranges[r];
-            let len = rg.len as usize;
-            if len > 1 {
-                let start = rg.start as usize;
-                let new_len = merge_range(&mut a.next_data[start..start + len]);
-                if new_len != len {
-                    self.stats.merged_messages += (len - new_len) as u64;
-                    a.inbox_ranges[r].len = new_len as u32;
-                }
-            }
-        }
-
-        // 6. Account and swap the double buffers / schedule sets.
-        self.stats.messages += sent_this_round;
-        a.staged.clear();
-        std::mem::swap(&mut a.inbox_data, &mut a.next_data);
-        std::mem::swap(&mut a.msg_active, &mut a.touched);
-        a.touched.clear();
-        std::mem::swap(&mut a.nonidle, &mut a.nonidle_next);
-        a.nonidle_next.clear();
-
-        if let (Some(t), Some(d)) = (self.transcript.as_mut(), digest) {
-            t.push(d.finish(self.round));
-        }
-        self.round += 1;
-        self.stats.rounds += 1;
-        // Per-round accounting is send-round attributed, matching
-        // `stats.messages` / `stats.words` (which are charged when a message
-        // is sent, not when it is delivered one round later).
-        self.stats.busiest_round_messages = self.stats.busiest_round_messages.max(sent_this_round);
-    }
-
-    /// The sharded parallel round path, monomorphized over the adjacency
-    /// store. Bit-identical to `step_seq_impl` at every thread count — see
-    /// the crate-level "Determinism under parallelism" notes for why
-    /// contiguous shards preserve the sender-ascending delivery order and
-    /// the receiver-ascending digest order. On the compact store, staged
-    /// `from_port` fields carry sender ids, converted to ports per receiver
-    /// range between scatter and merge (see [`AdjAccess`]).
-    fn step_par_impl<A: AdjAccess>(&mut self, adj: &A) {
+    /// The round (visit list already built by `step`), sharded over the
+    /// attached pool's plane when `pooled` and over the arena's one-lane
+    /// plane otherwise, and monomorphized over the adjacency store.
+    /// Bit-identical at every lane count — see the crate-level "Determinism
+    /// under parallelism" notes for why contiguous shards preserve the
+    /// sender-ascending delivery order and the receiver-ascending digest
+    /// order. On the compact store, staged `from_port` fields carry sender
+    /// ids, converted to ports per receiver range between scatter and merge
+    /// (see [`AdjAccess`]).
+    fn step_impl<A: AdjAccess>(&mut self, adj: &A, pooled: bool) {
         let n = self.n;
 
-        // Phase 0 (sequential): the delivery digest (the visit list was
-        // built by `step`). The digest folds `(receiver, port, words)` in
-        // receiver-ascending, sender-ascending order — a pure function of
-        // the *previous* round's scatter, so it does not depend on this
-        // round's sharding at all. Only materialized when transcripts are
-        // enabled.
+        // Phase 0 (on the calling thread): the delivery digest. It folds
+        // `(receiver, port, words)` in receiver-ascending, sender-ascending
+        // order — a pure function of the *previous* round's scatter, so it
+        // does not depend on this round's sharding at all. Only
+        // materialized when transcripts are enabled.
         let mut digest = self.transcript.is_some().then(RoundDigest::new);
         if let Some(d) = digest.as_mut() {
             for &v in &self.arena.visit {
@@ -1523,12 +1279,11 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                     msg_active,
                     nonidle,
                     count,
-                    touched,
-                    nonidle_next,
                     visit,
                     timers,
                     timer_armed,
                     par,
+                    lane,
                     ..
                 },
             round,
@@ -1538,7 +1293,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         } = self;
         let visit: &[u32] = visit;
         let round_now = *round;
-        let par = par.as_mut().expect("step_par requires an attached pool");
+        let plane = if pooled { par } else { lane };
         let ParPlane {
             pool,
             workers,
@@ -1549,7 +1304,9 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             vcuts,
             pcuts,
             dcuts,
-        } = par;
+        } = plane
+            .as_mut()
+            .expect("reset builds the one-lane plane and set_pool the pooled one");
         let pool: &WorkerPool = pool;
         let t = pool.threads();
         let chunk = *chunk;
@@ -1591,7 +1348,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         // sends into its own per-receiver-range buckets. Within a lane the
         // stage order is the shard's visit order (sender-ascending); lanes
         // cover ascending sender ranges, so "lane order, then local order"
-        // is exactly the sequential staging order.
+        // is the global sender-ascending order at every lane count.
         {
             let inbox_data: &[Incoming] = inbox_data;
             let inbox_ranges: &[InboxRange] = inbox_ranges;
@@ -1619,6 +1376,8 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                         sent.fill(false);
                         arena.outbox.clear();
 
+                        // `start` is stale for nodes outside `msg_active`,
+                        // so gate on the length (zero for every such node).
                         let rg = inbox_ranges[v];
                         let len = rg.len as usize;
                         let inbox: &[Incoming] = if len == 0 {
@@ -1667,8 +1426,10 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                 } else {
                                     adj.rev_port(v, port as usize)
                                 };
-                                arena.buckets[u as usize / chunk]
-                                    .push((u, Incoming { from_port, msg }));
+                                // One lane has one receiver range; skip the
+                                // per-message division (measurably slower).
+                                let j = if t == 1 { 0 } else { u as usize / chunk };
+                                arena.buckets[j].push((u, Incoming { from_port, msg }));
                                 arena.words += msg.len() as u64;
                                 arena.staged += 1;
                             }
@@ -1729,20 +1490,21 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             );
         }
 
-        // Phase C (sequential merge): retire the consumed inboxes, then lay
-        // out next round's CSR ranges. Concatenating the per-range sorted
-        // touched lists in range order *is* the globally sorted receiver
-        // list, so `inbox_start` gets exactly the sequential path's values.
+        // Phase C (merge, on the calling thread): retire the consumed
+        // inboxes, then lay out next round's CSR ranges and receiver list.
+        // Concatenating the per-range sorted touched lists in range order
+        // *is* the globally sorted receiver list, so every `start` is the
+        // same at every lane count.
         for &r in msg_active.iter() {
             inbox_ranges[r as usize].len = 0;
         }
-        touched.clear();
+        msg_active.clear();
         dcuts.clear();
         let mut acc = 0usize;
         for range in ranges.iter() {
             dcuts.push(acc);
             for &r in &range.touched {
-                touched.push(r);
+                msg_active.push(r);
                 inbox_ranges[r as usize].start = acc as u32;
                 acc += count[r as usize] as usize;
                 count[r as usize] = 0;
@@ -1755,9 +1517,10 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             acc <= u32::MAX as usize,
             "a single round staged more than u32::MAX deliveries"
         );
-        // Grow-only swap buffer, same invariant as the sequential path: the
-        // scatter below writes every slot of `[0, acc)` and nothing reads
-        // past `acc`.
+        // The swap buffer is grow-only: the scatter below writes every slot
+        // of `[0, acc)`, and slots past `acc` are never read (all reads go
+        // through `inbox_ranges`), so the placeholder fill is paid once at
+        // peak size instead of every round.
         if next_data.len() < acc {
             next_data.resize(
                 acc,
@@ -1767,15 +1530,20 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 },
             );
         }
-        nonidle_next.clear();
+        // The previous non-idle set was consumed by `build_visit`; the
+        // lanes' lists concatenate into the next one, ascending.
+        nonidle.clear();
         let mut sent_this_round = 0u64;
         for arena in workers.iter() {
-            nonidle_next.extend_from_slice(&arena.nonidle);
+            nonidle.extend_from_slice(&arena.nonidle);
             stats.words += arena.words;
             sent_this_round += arena.staged;
-            // Register this lane's timed wake-ups (same filter as the
-            // sequential path; the wheel's contents are a pure function of
-            // program states, so thread count cannot change it).
+            // Register this lane's timed wake-ups: the node went idle with
+            // an appointment. Past/present rounds are ignored per the
+            // contract, and `timer_armed` suppresses exact re-registrations
+            // from intermediate message-driven visits. The wheel's contents
+            // are a pure function of program states, so the lane count
+            // cannot change them.
             for &(v, w) in &arena.wakes {
                 if w > round_now && timer_armed[v as usize] != w {
                     timer_armed[v as usize] = w;
@@ -1789,9 +1557,10 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         // Phase D (parallel over receiver ranges): stable scatter. Each lane
         // owns the scatter-buffer span of its receiver range and walks the
         // sender lanes' buckets for that range *in lane order*, so every
-        // inbox fills sender-ascending — identical to the sequential stable
-        // scatter. Broadcast records expand against the sender's neighbor
-        // slice restricted to the range, at their staged position. After
+        // inbox fills sender-ascending at every lane count. Broadcast
+        // records expand against the sender's neighbor slice restricted to
+        // the range, at their staged position, so delivery order matches
+        // eager per-port staging exactly. After
         // scattering, each lane merges its own receivers' ranges in place
         // (see [`crate::msg`]); the merge result is a pure function of the
         // staged message set, so it is thread-count independent. Each
@@ -1879,20 +1648,20 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             );
         }
 
-        // Phase E (sequential): account and swap, exactly as step_seq does.
+        // Phase E (on the calling thread): account and swap the double
+        // buffers.
         stats.messages += sent_this_round;
         stats.merged_messages += merged_total.into_inner();
         std::mem::swap(inbox_data, next_data);
-        std::mem::swap(msg_active, touched);
-        touched.clear();
-        std::mem::swap(nonidle, nonidle_next);
-        nonidle_next.clear();
 
         if let (Some(tr), Some(d)) = (transcript.as_mut(), digest) {
             tr.push(d.finish(round_now));
         }
         *round += 1;
         stats.rounds += 1;
+        // Per-round accounting is send-round attributed, matching
+        // `stats.messages` / `stats.words` (which are charged when a message
+        // is sent, not when it is delivered one round later).
         stats.busiest_round_messages = stats.busiest_round_messages.max(sent_this_round);
     }
 
@@ -1966,7 +1735,6 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         let start = self.round;
         let limit = start.saturating_add(k);
         let watching = obs.enabled();
-        let detail = watching && obs.wants_round_detail();
         while self.round < limit {
             let allowance = if watching {
                 obs.skip_allowance()
@@ -1981,13 +1749,12 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 continue;
             }
             if watching {
-                let active = if detail { self.active_nodes() } else { 0 };
                 let before = self.stats.messages;
                 self.step();
                 let info = RoundInfo {
                     round: self.round - 1,
                     messages: self.stats.messages - before,
-                    active,
+                    active: self.arena.visit.len(),
                 };
                 if !obs.on_round(info) {
                     break;
@@ -2037,7 +1804,6 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         let start = self.round;
         let limit = start.saturating_add(max_rounds);
         let watching = obs.enabled();
-        let detail = watching && obs.wants_round_detail();
         let mut quiescent = self.is_quiescent();
         while self.round < limit {
             let allowance = if watching {
@@ -2052,7 +1818,6 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 }
                 continue;
             }
-            let active = if detail { self.active_nodes() } else { 0 };
             let before = self.stats.messages;
             self.step();
             quiescent = self.is_quiescent();
@@ -2060,7 +1825,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 let info = RoundInfo {
                     round: self.round - 1,
                     messages: self.stats.messages - before,
-                    active,
+                    active: self.arena.visit.len(),
                 };
                 let go = obs.on_round(info);
                 if quiescent {
@@ -2445,6 +2210,38 @@ mod tests {
             self.0.push(info.active);
             true
         }
+    }
+
+    /// Acts once, at its `wake` round; node 0 then messages node 1.
+    struct PingAt {
+        wake: u64,
+        done: bool,
+    }
+    impl NodeProgram for PingAt {
+        fn round(&mut self, ctx: &mut RoundCtx<'_>) {
+            if ctx.round() == self.wake {
+                self.done = true;
+                if ctx.id() == 0 {
+                    ctx.send(0, Msg::one(0));
+                }
+            }
+        }
+        fn next_wake(&self) -> Option<u64> {
+            (!self.done).then_some(self.wake)
+        }
+    }
+
+    /// A node whose wake comes due in the round a message reaches it is
+    /// visited, and reported, once.
+    #[test]
+    fn active_counts_a_due_wake_and_a_message_once() {
+        let g = generators::path(2);
+        let ping = |wake| PingAt { wake, done: false };
+        let mut sim = Simulator::new(&g, vec![ping(1), ping(2)]);
+        let mut log = ActiveLog(Vec::new());
+        sim.run_rounds_observed(3, &mut log);
+        assert!(sim.programs().iter().all(|p| p.done));
+        assert_eq!(log.0, [2, 1, 1]);
     }
 
     #[test]

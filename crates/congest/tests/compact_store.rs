@@ -5,7 +5,7 @@
 //! these tests pin the contract that matters: a [`Simulator`] running over
 //! [`CompactGraph`] is **bit-identical** to one over the flat [`Graph`] —
 //! same per-round transcripts (delivery digests fold `from_port`
-//! order-sensitively), same stats, same final program states — sequentially
+//! order-sensitively), same stats, same final program states — unpooled
 //! and at every pool lane count, with broadcasts forced onto the record
 //! path and merge-class traffic exercising the convert-before-merge
 //! ordering.
@@ -131,7 +131,7 @@ fn run_compact(g: &Graph, seed: u64, rounds: u64, pool: Option<Arc<WorkerPool>>)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The headline differential: flat vs compact, sequential and at pool
+    /// The headline differential: flat vs compact, unpooled and at pool
     /// lane counts 1/2/4 — all digest-for-digest, stat-for-stat, and
     /// state-for-state identical.
     #[test]
@@ -146,9 +146,9 @@ proptest! {
         let want = run_flat(&g, program_seed, rounds, None);
 
         let got = run_compact(&g, program_seed, rounds, None);
-        prop_assert_eq!(&got.0, &want.0, "sequential digest drift");
-        prop_assert_eq!(&got.1, &want.1, "sequential stats drift");
-        prop_assert_eq!(&got.2, &want.2, "sequential state drift");
+        prop_assert_eq!(&got.0, &want.0, "unpooled digest drift");
+        prop_assert_eq!(&got.1, &want.1, "unpooled stats drift");
+        prop_assert_eq!(&got.2, &want.2, "unpooled state drift");
 
         for threads in [1usize, 2, 4] {
             let pool = Arc::new(WorkerPool::new(threads));

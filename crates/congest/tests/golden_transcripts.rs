@@ -28,8 +28,8 @@ fn run_flood_store(
     };
     if let Some(pool) = pool {
         sim.set_pool(pool);
-        // The golden graphs are small; force the parallel path so the
-        // digests are asserted against real sharded execution.
+        // The golden graphs are small; force every round onto the pool so
+        // the digests are asserted against real multi-lane execution.
         sim.set_par_threshold(0);
     }
     sim.set_fast_forward(fast_forward);
@@ -129,7 +129,7 @@ fn flood_transcripts_match_pre_refactor_goldens() {
 
         // The compact delta/varint store must reproduce the same goldens
         // verbatim — the store changes how adjacency is *read*, never what
-        // the network observably does — sequentially and sharded.
+        // the network observably does — on one lane and on several.
         let (digest, len, rounds, messages, words) =
             run_flood_store(&c.graph, &c.sources, None, true, true);
         assert_eq!(digest, c.digest, "{}: digest drifted on compact", c.name);
@@ -153,8 +153,8 @@ fn flood_transcripts_match_pre_refactor_goldens() {
             c.name
         );
 
-        // The same goldens must hold verbatim on the sharded parallel path
-        // at every thread count — the transcripts are part of the public
+        // The same goldens must hold verbatim sharded over every lane
+        // count — the transcripts are part of the public
         // determinism contract, independent of execution strategy.
         for threads in [1usize, 2, 3, 8] {
             let pool = Arc::new(WorkerPool::new(threads));

@@ -15,8 +15,8 @@
 //!
 //! Any change to delivery order, active-set scheduling, or the observer's
 //! accounting shows up here as a drifted tuple. The 4-lane run must match
-//! the sequential run **exactly** — the observation plane sits outside the
-//! sharded round path, so determinism-under-parallelism extends to it.
+//! the one-lane run **exactly** — the observation plane sits outside the
+//! sharded round, so determinism-under-parallelism extends to it.
 
 use nas_congest::programs::Flood;
 use nas_congest::{RoundInfo, RoundObserver, Simulator};
@@ -52,8 +52,8 @@ fn flood_events(lanes: usize) -> Vec<(u64, u64, usize)> {
     let mut sim = Simulator::new(&g, Flood::network(8, &[0]));
     if lanes > 1 {
         sim.set_pool(Arc::new(WorkerPool::new(lanes)));
-        // Force every round onto the sharded parallel path — the default
-        // threshold would keep an 8-node run sequential.
+        // Force every round onto the pool — the default threshold would
+        // keep an 8-node run on one lane.
         sim.set_par_threshold(0);
     }
     let mut rec = Recorder(Vec::new());
@@ -83,7 +83,7 @@ fn event_sequences_are_bit_identical_across_lane_counts() {
 
 /// The observer's per-round message counts must reconcile exactly with the
 /// aggregate statistics — on a workload big enough to actually exercise the
-/// parallel path's per-lane accounting merge.
+/// multi-lane per-lane accounting merge.
 #[test]
 fn observed_message_counts_reconcile_with_stats() {
     let g = generators::gnp(600, 0.02, 3);

@@ -1,14 +1,17 @@
-//! Differential tests: the sharded parallel round path vs the sequential
-//! path vs the naive reference simulator.
+//! Differential tests: the sharded round on several lanes vs the same
+//! round on one lane vs the naive reference simulator.
 //!
-//! The determinism contract says a pool-attached [`Simulator`] must be
-//! **bit-identical** to the sequential one at every thread count: same
-//! per-round transcripts (delivery digests fold order-sensitively), same
-//! stats, same final program states, message for message. The proptest
-//! sweeps random graphs and randomly-parameterized contract-honoring
-//! programs across thread counts 1/2/3/8; the unit tests pin the shard
-//! edge cases (visit list smaller than the lane count, empty rounds,
-//! wake-all rounds, single-vertex graphs).
+//! Every round runs the same sharded round code; with no pool attached it
+//! runs on the simulator's own one-lane plane. The determinism contract
+//! says a pool-attached [`Simulator`] must be **bit-identical** to that
+//! one-lane run at every thread count: same per-round transcripts
+//! (delivery digests fold order-sensitively), same stats, same final
+//! program states, message for message. The independent
+//! [`ReferenceSimulator`] anchors all of them. The proptest sweeps random
+//! graphs and randomly-parameterized contract-honoring programs across
+//! pools of 1/2/3/8 lanes; the unit tests pin the shard edge cases (visit
+//! list smaller than the lane count, empty rounds, wake-all rounds,
+//! single-vertex graphs).
 
 use nas_congest::{Msg, NodeProgram, ReferenceSimulator, RoundCtx, Simulator};
 use nas_graph::generators;
@@ -122,8 +125,8 @@ fn run(
     let mut sim = Simulator::new(g, Scatter::network(g.num_vertices(), seed));
     if let Some(pool) = pool {
         sim.set_pool(pool);
-        // Force the parallel path: these graphs sit below the default
-        // dispatch threshold, and the whole point is to exercise sharding.
+        // Force every round onto the pool: these graphs sit below the
+        // default dispatch threshold, and the point is to exercise sharding.
         sim.set_par_threshold(0);
     }
     sim.enable_transcript();
@@ -138,8 +141,8 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline differential: sequential vs pooled at 1/2/3/8 lanes vs
-    /// the naive reference — all five agree digest-for-digest and
+    /// The headline differential: unpooled (one lane) vs pooled at 1/2/3/8
+    /// lanes vs the naive reference — all six agree digest-for-digest and
     /// message-for-message.
     #[test]
     fn parallel_step_is_bit_identical_across_thread_counts(
@@ -168,9 +171,9 @@ proptest! {
         prop_assert_eq!(snapshot(reference.programs()), want.2);
     }
 
-    /// Quiescence detection agrees between the pooled and sequential paths.
+    /// Quiescence detection agrees between pooled and unpooled runs.
     #[test]
-    fn pooled_quiescence_matches_sequential(
+    fn pooled_quiescence_matches_unpooled(
         n in 2usize..40,
         p in 0.02f64..0.25,
         graph_seed in 0u64..1_000_000,
@@ -270,7 +273,7 @@ fn wake_all_after_programs_mut() {
 /// The env-sized default pool (`NAS_THREADS` honored) also stays identical —
 /// this is the configuration CI sweeps at 1 and 4 threads.
 #[test]
-fn default_pool_matches_sequential() {
+fn default_pool_matches_unpooled() {
     let g = generators::preferential_attachment(60, 3, 5);
     let want = run(&g, 41, 15, None);
     let got = run(
@@ -282,7 +285,7 @@ fn default_pool_matches_sequential() {
     assert_eq!(got, want);
 }
 
-/// Detaching the pool mid-run switches back to the sequential path without
+/// Detaching the pool mid-run switches back to the one-lane plane without
 /// observable effect.
 #[test]
 fn pool_can_be_detached_mid_run() {

@@ -8,9 +8,12 @@
 //! buffer swap), warms the scratch buffers up, and then asserts that
 //! hundreds of further steps perform **zero** allocations.
 //!
-//! The counter is process-wide, so the pins run one after another inside a
-//! single `#[test]`: a sibling test running concurrently in this binary
-//! would otherwise leak its allocations into the measured windows.
+//! The counter is process-wide, so the pins run one after another in this
+//! binary's own `main` (`harness = false` in the manifest). Under the test
+//! harness, other threads would leak allocations into the measured
+//! windows: sibling tests, and the harness's main thread, which allocates
+//! when it first blocks waiting for the test thread — a release build
+//! warms up fast enough to overlap that.
 
 use nas_congest::{Msg, NodeProgram, RoundCtx, Simulator};
 use nas_graph::generators;
@@ -64,9 +67,9 @@ impl NodeProgram for Ring {
     }
 }
 
-/// Every pin of this file, in sequence (see the module docs).
-#[test]
-fn steady_state_step_performs_zero_allocations() {
+/// Every pin of this file, in sequence (see the module docs); a failed pin
+/// panics, which fails the test binary.
+fn main() {
     ring_on_cycle();
     echo_on_irregular_graph();
     ring_with_pool_active();
@@ -135,11 +138,11 @@ fn echo_on_irregular_graph() {
     assert_eq!(sim.stats().messages, (16 + 128) * 2 * g.num_edges() as u64);
 }
 
-/// The guarantee survives the sharded parallel path: per-lane arenas are
+/// The guarantee survives sharding over several lanes: per-lane arenas are
 /// allocated once at [`Simulator::set_pool`] (and grown during warm-up),
 /// job dispatch goes through a preallocated futex-guarded slot, and the
 /// counting/scatter merge reuses per-range scratch — so a steady-state
-/// parallel step performs zero allocations *across all worker threads*
+/// pooled step performs zero allocations *across all worker threads*
 /// (the counting allocator is global, so worker-thread allocations would
 /// be caught here too).
 fn ring_with_pool_active() {
@@ -153,12 +156,12 @@ fn ring_with_pool_active() {
     // 4 lanes regardless of the host's core count: the cross-thread dispatch
     // machinery must itself be allocation-free even when oversubscribed.
     sim.set_pool(Arc::new(WorkerPool::new(4)));
-    // n = 512 sits below the default dispatch threshold; force the parallel
-    // path — the zero-alloc pin is about the sharded machinery.
+    // n = 512 sits below the default dispatch threshold; force every round
+    // onto the pool — the zero-alloc pin is about the multi-lane machinery.
     sim.set_par_threshold(0);
 
-    // Warm-up: one full token rotation plus slack. Unlike the sequential
-    // plane's single staging buffer, the parallel plane stages into
+    // Warm-up: one full token rotation plus slack. Unlike a one-lane
+    // run's single staging bucket, a multi-lane plane stages into
     // per-(lane, receiver-range) buckets, and the ring's two tokens that
     // travel *against* the flow shift which bucket carries the shard-
     // boundary messages as they orbit — each bucket only reaches its
@@ -174,7 +177,7 @@ fn ring_with_pool_active() {
     assert_eq!(
         after - before,
         0,
-        "parallel Simulator::step allocated in steady state"
+        "pooled Simulator::step allocated in steady state"
     );
     assert_eq!(sim.stats().messages, (warmup + 2 * n as u64) * n as u64);
     assert!(sim.programs().iter().all(|p| p.tokens_seen >= 256));

@@ -234,8 +234,8 @@ pub struct FullProtocolResult {
 #[deprecated(note = "use nas_core::Session with Backend::Full instead")]
 pub fn run_full_protocol(g: &Graph, params: Params) -> Result<FullProtocolResult, ParamError> {
     // Multi-core round execution on the shared pool (NAS_THREADS honored);
-    // transcripts and stats are bit-identical to the sequential path, so
-    // the golden engine digests hold at every thread count.
+    // transcripts and stats are bit-identical at every lane count, so the
+    // golden engine digests hold at every thread count.
     let global = nas_par::global_arc();
     let pool = (global.threads() > 1).then_some(global);
     let mut ctl = Conduit::noop();

@@ -442,9 +442,8 @@ impl fmt::Display for Report {
 /// operation's [`nas_congest::RunHooks`].
 pub(crate) struct Conduit<'o> {
     user: Option<&'o mut dyn Observer>,
-    /// [`Observer::wants_rounds`], latched once at construction so the
-    /// emission check and the simulator's detail latch cannot diverge
-    /// mid-run.
+    /// [`Observer::wants_rounds`], latched once at construction: whether
+    /// executed rounds are emitted as [`Event::RoundCompleted`].
     stream_rounds: bool,
     budget: Option<u64>,
     /// Rounds seen through the simulator-level observer plane.
@@ -552,13 +551,6 @@ impl<'o> Conduit<'o> {
 impl RoundObserver for Conduit<'_> {
     fn enabled(&self) -> bool {
         self.user.is_some() || self.budget.is_some()
-    }
-
-    /// Budget-only conduits (no user observer) and observers that opted
-    /// out of round events ([`Observer::wants_rounds`]) read no detail —
-    /// the simulator then skips the per-round active-set merge.
-    fn wants_round_detail(&self) -> bool {
-        self.stream_rounds
     }
 
     fn on_round(&mut self, info: RoundInfo) -> bool {
@@ -707,11 +699,11 @@ impl<'g, 'o> Session<'g, 'o> {
     }
 
     /// Sizes the worker pool the simulating backends shard their rounds
-    /// over. `1` forces pure sequential execution; values `> 1` create a
-    /// dedicated pool for this run. Unset inherits the process-wide pool
-    /// (`NAS_THREADS` / `nas_par::init_global`). Transcripts and results
-    /// are bit-identical at every thread count — this knob only moves wall
-    /// clock.
+    /// over. `1` runs every round on one lane of the calling thread, with
+    /// no pool; values `> 1` create a dedicated pool for this run. Unset
+    /// inherits the process-wide pool (`NAS_THREADS` /
+    /// `nas_par::init_global`). Transcripts and results are bit-identical
+    /// at every thread count — this knob only moves wall clock.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self

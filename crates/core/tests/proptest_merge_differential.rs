@@ -64,10 +64,10 @@ fn run_reference<P: NodeProgram>(g: &Graph, programs: Vec<P>, rounds: u64) -> Ve
 }
 
 /// The lane/broadcast/fast-forward grid every per-protocol differential
-/// sweeps: sequential with default and aggressive broadcast thresholds,
-/// the sharded path at 2 and 4 lanes (all with fast-forward on, the
-/// default), then skip-disabled legs sequential and sharded — the same
-/// execution with every eventless round actually stepped.
+/// sweeps: one lane with default and aggressive broadcast thresholds,
+/// 2 and 4 lanes (all with fast-forward on, the default), then
+/// skip-disabled legs on one lane and on several — the same execution
+/// with every eventless round actually stepped.
 const GRID: [(usize, usize, bool); 6] = [
     (1, 16, true),
     (1, 1, true),
@@ -292,7 +292,7 @@ proptest! {
     /// Every hub `send_all` stages one broadcast record expanded over 10⁴
     /// neighbors, and the hub's inbox absorbs up to 10⁴ same-class messages
     /// per round through the merge pass — outputs must still match the
-    /// unmerged baseline exactly, sequential and sharded.
+    /// unmerged baseline exactly, on one lane and on several.
     #[test]
     fn skew_stress_hub_matches_unmerged_reference(seed in 0u64..1000) {
         let n = 10_050;

@@ -1,100 +1,16 @@
 //! Breadth-first search in the flavors the spanner algorithms need.
 //!
 //! The distance-returning surface lives on the flat distance plane
-//! ([`crate::dist`]): [`DistanceMap`] for single rows, [`DistanceBatch`]
-//! for batched/pooled fan-out, both with reusable scratch and the
-//! [`crate::dist::UNREACHED`] sentinel instead of `Option`. The historical
-//! `Vec<Option<u32>>` entry points remain below as deprecated thin
-//! adapters (one release), pinned bit-equivalent to the flat plane by the
-//! differential tests in `tests/proptest_dist.rs`.
+//! ([`crate::dist`]): [`DistanceMap`] for single rows,
+//! [`DistanceBatch`](crate::DistanceBatch) for batched/pooled fan-out, both
+//! with reusable scratch and the [`crate::dist::UNREACHED`] sentinel
+//! instead of `Option`.
 //!
 //! [`bfs_forest`] (parent/root tracking for the superclustering step) and
 //! [`eccentricity`] are unchanged in shape.
 
-use crate::dist::{BatchScratch, DistanceBatch, DistanceMap};
+use crate::dist::DistanceMap;
 use crate::graph::Graph;
-use nas_par::WorkerPool;
-
-/// Distances from `source` to every vertex; `None` for unreachable vertices.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-#[deprecated(
-    since = "0.2.0",
-    note = "allocates an Option row per call; use nas_graph::dist::DistanceMap::from_source \
-            (or DistanceMap::fill with a scratch on hot paths)"
-)]
-pub fn distances(g: &Graph, source: usize) -> Vec<Option<u32>> {
-    DistanceMap::from_source(g, source).to_options()
-}
-
-/// Distances from the nearest of several `sources` (multi-source BFS).
-///
-/// # Panics
-///
-/// Panics if any source is out of range.
-#[deprecated(
-    since = "0.2.0",
-    note = "allocates an Option row per call; use nas_graph::dist::DistanceMap::from_sources \
-            (or DistanceMap::fill with a scratch on hot paths)"
-)]
-pub fn multi_source_distances<I: IntoIterator<Item = usize>>(
-    g: &Graph,
-    sources: I,
-) -> Vec<Option<u32>> {
-    DistanceMap::from_sources(g, sources).to_options()
-}
-
-/// Batched single-source BFS: one `Option` row per entry of `sources`,
-/// computed in parallel on `pool` (row `i` corresponds to `sources[i]`,
-/// identical to the sequential loop).
-#[deprecated(
-    since = "0.2.0",
-    note = "allocates a row-of-rows; use nas_graph::dist::DistanceBatch::from_sources \
-            (or DistanceBatch::fill with a scratch on hot paths)"
-)]
-pub fn par_distances(g: &Graph, sources: &[usize], pool: &WorkerPool) -> Vec<Vec<Option<u32>>> {
-    let batch = DistanceBatch::from_sources(g, sources, pool);
-    option_rows(&batch, sources.len())
-}
-
-/// Batched multi-source BFS: one `Option` row (distance to the nearest
-/// source of the set) per entry of `source_sets`, computed in parallel on
-/// `pool`.
-#[deprecated(
-    since = "0.2.0",
-    note = "allocates a row-of-rows; use nas_graph::dist::DistanceBatch::fill_multi"
-)]
-pub fn par_multi_source_distances(
-    g: &Graph,
-    source_sets: &[&[usize]],
-    pool: &WorkerPool,
-) -> Vec<Vec<Option<u32>>> {
-    let mut batch = DistanceBatch::new();
-    let mut scratch = BatchScratch::new();
-    batch.fill_multi(g, source_sets, &mut scratch, pool);
-    option_rows(&batch, source_sets.len())
-}
-
-/// Expands a flat batch back into the historical row-of-rows shape.
-/// `rows` disambiguates the zero-width case (an `n == 0` graph still has
-/// one empty row per source).
-fn option_rows(batch: &DistanceBatch, rows: usize) -> Vec<Vec<Option<u32>>> {
-    (0..rows)
-        .map(|i| {
-            if batch.width() == 0 {
-                Vec::new()
-            } else {
-                batch
-                    .row(i)
-                    .iter()
-                    .map(|&d| (d != crate::dist::UNREACHED).then_some(d))
-                    .collect()
-            }
-        })
-        .collect()
-}
 
 /// Result of a BFS that also records the forest structure.
 #[derive(Debug, Clone)]
@@ -279,35 +195,5 @@ mod tests {
         let b = bfs_forest(&g, [4, 0], None);
         assert_eq!(a.root, b.root);
         assert_eq!(a.parent, b.parent);
-    }
-
-    /// The deprecated Option-row adapters stay bit-equivalent to the flat
-    /// plane they delegate to (the cross-implementation differential lives
-    /// in `tests/proptest_dist.rs`).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapters_match_flat_plane() {
-        let g = generators::gnp(50, 0.07, 9);
-        let d = distances(&g, 3);
-        assert_eq!(d, DistanceMap::from_source(&g, 3).to_options());
-
-        let m = multi_source_distances(&g, [1, 40]);
-        assert_eq!(m, DistanceMap::from_sources(&g, [1, 40]).to_options());
-
-        let pool = WorkerPool::new(3);
-        let sources = [0usize, 7, 7, 13];
-        let rows = par_distances(&g, &sources, &pool);
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(rows[i], DistanceMap::from_source(&g, s).to_options());
-        }
-
-        let sets: Vec<&[usize]> = vec![&[0], &[3, 9]];
-        let rows = par_multi_source_distances(&g, &sets, &pool);
-        assert_eq!(rows[1], DistanceMap::from_sources(&g, [3, 9]).to_options());
-
-        // Zero-vertex graph: one empty row per source set.
-        let empty = crate::GraphBuilder::new(0).build();
-        let rows = par_multi_source_distances(&empty, &[&[]], &pool);
-        assert_eq!(rows, vec![Vec::<Option<u32>>::new()]);
     }
 }

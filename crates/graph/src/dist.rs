@@ -191,8 +191,8 @@ impl DistanceMap {
         bfs_row(g, sources, &mut self.dist, scratch);
     }
 
-    /// The historical `Option`-row representation (one fresh allocation) —
-    /// the adapter the deprecated `bfs::distances` family is built on.
+    /// The row as `Option`s (one fresh allocation), `None` for unreached
+    /// vertices.
     pub fn to_options(&self) -> Vec<Option<u32>> {
         self.dist
             .iter()
@@ -376,8 +376,6 @@ impl DistanceBatch {
     /// Note: a fill over a zero-vertex graph has `width() == 0` and
     /// reports 0 rows regardless of how many (necessarily empty) rows
     /// were requested — the flat representation cannot distinguish them.
-    /// The deprecated `Option`-row adapters pass the requested row count
-    /// separately to preserve the historical row-of-empty-rows shape.
     pub fn rows(&self) -> usize {
         self.data.len().checked_div(self.width).unwrap_or(0)
     }

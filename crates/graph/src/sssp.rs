@@ -50,8 +50,8 @@
 //! *rows* only, exactly like [`DistanceBatch::fill`]: lanes own disjoint
 //! contiguous row ranges of the flat output plus a private
 //! [`SsspScratch`], so the batch is byte-identical to the sequential loop
-//! at every thread count — the same contiguous-shard argument as
-//! `step_par` in the CONGEST simulator and the BFS batch fills; see the
+//! at every thread count — the same contiguous-shard argument as the
+//! sharded round of the CONGEST simulator and the BFS batch fills; see the
 //! `nas_par` crate docs and the [`crate::dist`] module docs.
 //!
 //! # Example

@@ -66,9 +66,6 @@ pub struct SpannerOracle {
     cache_row: DistanceMap,
     scratch: BfsScratch,
     batch_scratch: BatchScratch,
-    /// Lazily materialized `Option` row for the deprecated
-    /// [`distances_from`](SpannerOracle::distances_from) shim.
-    legacy_row: Vec<Option<u32>>,
     bfs_runs: u64,
     point_queries: u64,
     cache_hits: u64,
@@ -83,7 +80,6 @@ impl SpannerOracle {
             cache_row: DistanceMap::new(),
             scratch: BfsScratch::new(),
             batch_scratch: BatchScratch::new(),
-            legacy_row: Vec::new(),
             bfs_runs: 0,
             point_queries: 0,
             cache_hits: 0,
@@ -154,26 +150,6 @@ impl SpannerOracle {
             self.refill_cache(u);
         }
         &self.cache_row
-    }
-
-    /// Batched distances from one source as an `Option` row.
-    #[deprecated(
-        since = "0.2.0",
-        note = "materializes an Option row per source; use distance_map_from (flat, cached) or \
-                distances_batch_into (many sources, pooled)"
-    )]
-    pub fn distances_from(&mut self, u: usize) -> &[Option<u32>] {
-        if self.cache_source != Some(u) {
-            self.refill_cache(u);
-        }
-        self.legacy_row.clear();
-        self.legacy_row.extend(
-            self.cache_row
-                .raw()
-                .iter()
-                .map(|&d| (d != nas_graph::dist::UNREACHED).then_some(d)),
-        );
-        &self.legacy_row
     }
 
     /// Batched distances from many sources into a reusable flat batch: one
@@ -529,17 +505,6 @@ mod tests {
             }
             assert_eq!(o.bfs_runs(), 3 * sources.len() as u64);
         }
-    }
-
-    /// The deprecated per-source Option-row path still matches the flat row.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_distances_from_matches_flat() {
-        let g = generators::grid2d(5, 5);
-        let mut o = SpannerOracle::new(g.clone());
-        let legacy = o.distances_from(7).to_vec();
-        assert_eq!(legacy, o.distance_map_from(7).to_options());
-        assert_eq!(o.bfs_runs(), 1, "shared cache between the two paths");
     }
 
     /// The unified [`OracleStats`] snapshot agrees with the per-oracle
