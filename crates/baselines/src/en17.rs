@@ -19,8 +19,7 @@
 //! Algorithm 1 exploration with a knowledge cap of `deg_i · ⌈log₂ n⌉ · 2`
 //! — a with-high-probability surrogate for EN17's Bellman–Ford congestion
 //! argument; its measured round counts scale as `O(β · n^ρ · log n)`,
-//! matching EN17's stated bound. This substitution is recorded in
-//! DESIGN.md.
+//! matching EN17's stated bound.
 
 use nas_congest::{RunHooks, RunStats, SimArena};
 use nas_core::algo1;

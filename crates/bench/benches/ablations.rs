@@ -1,4 +1,4 @@
-//! Criterion benches for the ablation experiments (DESIGN.md §10).
+//! Criterion benches for the ablation experiments.
 //! Printable version: the `ablations` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md §10 calls out:
+//! Ablations of three design choices:
 //!
 //! 1. ruling-set iteration count `c`: domination radius vs round cost;
 //! 2. the time/size knob `ρ`: phase count, thresholds, measured rounds;
@@ -127,6 +127,6 @@ fn ablation_constants() {
     println!(
         "paper-mode constants (ε rescaled by 30ℓ/ρ) make δ_i three orders larger —\n\
          structurally identical, unrunnable at simulation scale; practical mode\n\
-         keeps every invariant and runs. (See DESIGN.md substitutions.)"
+         keeps every invariant and runs, so the experiments use practical mode."
     );
 }

@@ -51,10 +51,10 @@ fn main() {
             edge_budget.to_string(),
             p.supercluster_path_edges.to_string(),
         ]);
-        assert!(p.interconnect_paths as u64 <= path_bound.max(1));
-        assert!(p.interconnect_edges as u64 <= edge_budget.max(1));
     }
     println!("{}", t.render());
+    nas_core::cluster::verify_phase_sizes(g.num_vertices(), &r.phases)
+        .unwrap_or_else(|e| panic!("Lemma 2.12's accounting broken: {e}"));
     println!(
         "total |H| = {} ≤ Σ budgets; Lemma 2.12's per-phase accounting holds ✓",
         r.num_edges()

@@ -62,7 +62,8 @@
 //! only the former is a per-leg footprint.
 //!
 //! Every spanner leg asserts the paper's guarantees — `H ⊆ G`, at most
-//! `schedule.total_round_bound()` rounds, and a settled partition of `V` —
+//! `schedule.total_round_bound()` rounds, a settled partition of `V`, and
+//! the per-phase size accounting (`verify_phase_sizes`) —
 //! and every hop-distance audit leg asserts the schedule's `(1+ε, β)`
 //! stretch envelope on its sampled pairs, so a broken guarantee fails the
 //! run instead of only showing up in its output.
@@ -360,8 +361,8 @@ fn run_spanner(name: &str, g: &Graph, threads: usize, store: Store) -> (Record, 
         .expect("valid parameters");
     let wall = t.elapsed();
     // The paper's guarantees, checked rather than printed: H ⊆ G, the
-    // schedule's round bound, and every vertex settling exactly once
-    // (Corollary 2.5).
+    // schedule's round bound, every vertex settling exactly once
+    // (Corollary 2.5), and the per-phase size accounting (Lemma 2.12).
     let sub = r.spanner.verify_subgraph_of(g);
     assert!(sub.is_ok(), "{name}: spanner edge {sub:?} not in G");
     let bound = r.schedule.total_round_bound();
@@ -372,6 +373,9 @@ fn run_spanner(name: &str, g: &Graph, threads: usize, store: Store) -> (Record, 
     );
     if let Err(e) = nas_core::cluster::verify_settled_partition(n, &r.settled) {
         panic!("{name}: settled partition broken: {e}");
+    }
+    if let Err(e) = nas_core::cluster::verify_phase_sizes(n, &r.phases) {
+        panic!("{name}: size accounting broken: {e}");
     }
     println!(
         "spanner  | {name:<28} | n={n:>8} m={:>8} | threads={threads} | rounds={:>7} skipped={:>7} msgs={:>9} busiest={:>8} | edges={:>9} | {:>9.3?} ({:.2} Mmsg/s) | peak_rss={:.0} MiB",

@@ -11,6 +11,9 @@
 //! spanner edge set is identical to the audited flat run — the audit
 //! tables therefore apply to the compact store verbatim.
 //!
+//! Every construction, flat and compact, also asserts the per-phase
+//! spanner-size accounting (`nas_core::cluster::verify_phase_sizes`).
+//!
 //! `--threads` sizes the shared worker pool the audits fan their BFS runs
 //! out on (default: `NAS_THREADS` env, else available parallelism). The
 //! audit result is identical at every thread count. `--smoke` is the CI
@@ -25,7 +28,8 @@
 //! reports empirical figures — stretch, effective β, mean dilation — and
 //! asserts only connectivity, not the envelope.
 
-use nas_bench::{default_params, run_ours, run_session_stored, workloads, BenchCli};
+use nas_bench::{default_params, run_ours, run_session_stored, workloads, BenchCli, MeasuredRun};
+use nas_core::cluster::verify_phase_sizes;
 use nas_core::{Backend, Store};
 use nas_graph::WeightedGraph;
 use nas_metrics::{stretch_audit_weighted, tables::fmt_f64, TableBuilder};
@@ -63,12 +67,15 @@ fn main() {
     });
     let store = cli.store();
     for (name, g) in workloads(n, seed) {
+        let sizes = |r: &MeasuredRun| verify_phase_sizes(g.num_vertices(), &r.result.phases);
         let r = run_ours(&name, &g, params);
+        sizes(&r).unwrap_or_else(|e| panic!("{name}: {e}"));
         if store == Store::Compact {
             // The compact plane must not change the object being audited:
             // the CONGEST construction over delta/varint adjacency yields
             // the same spanner edge for edge, so the table below covers it.
             let rc = run_session_stored(&name, &g, params, Backend::Congest, store);
+            sizes(&rc).unwrap_or_else(|e| panic!("{name} (compact): {e}"));
             let mut flat: Vec<_> = r.result.spanner.iter().collect();
             let mut compact: Vec<_> = rc.result.spanner.iter().collect();
             flat.sort_unstable();

@@ -4,8 +4,9 @@
 //! The paper's Table 1 is a formula comparison; we print it evaluated over a
 //! `(κ, ρ, ε)` sweep, and — since we actually built the "New" row — append
 //! its *measured* behaviour (spanner size, effective β, CONGEST rounds) on a
-//! shared workload. Elkin '05 was never implemented by anyone and is quoted
-//! analytically (see DESIGN.md substitutions).
+//! shared workload. Elkin '05 is not implemented here, so its row is quoted
+//! analytically: its `β` and running-time formulas with every hidden
+//! constant set to 1 (`nas_core::betas::elkin05`).
 //!
 //! Usage: `table1 [--seed S] [--threads T]`
 

@@ -1,9 +1,10 @@
 //! Shared experiment harness for the table/figure regeneration binaries and
 //! the criterion benches.
 //!
-//! Every table and figure of the paper maps to one binary in `src/bin/`
-//! (see DESIGN.md §8 for the index); the heavy lifting lives here so the
-//! criterion benches can reuse it at reduced sizes.
+//! Every table and figure of the paper maps to one binary in `src/bin/`,
+//! whose module docs open with its experiment id (`E-T1` for Table 1,
+//! `E-F3` for Figure 3, …); the heavy lifting lives here so the criterion
+//! benches can reuse it at reduced sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

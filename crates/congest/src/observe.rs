@@ -136,8 +136,8 @@ pub struct RunHooks<'a> {
 }
 
 impl RunHooks<'static> {
-    /// Hooks with no observer and no pool — the silent default every
-    /// legacy entry point runs with.
+    /// Hooks with no observer and no pool — the silent default a
+    /// standalone protocol run uses.
     pub fn none() -> Self {
         RunHooks {
             observer: None,

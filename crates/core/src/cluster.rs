@@ -1,5 +1,6 @@
 //! Clusterings `P_i` and the bookkeeping the analysis lemmas talk about.
 
+use crate::driver::PhaseStats;
 use nas_graph::{BfsScratch, DistanceMap, EdgeSet};
 
 /// One collection of clusters `P_i`: a set of disjoint, centered clusters
@@ -157,6 +158,36 @@ pub fn verify_settled_partition(n: usize, settled: &[Option<(usize, u32)>]) -> R
             return Err(format!(
                 "vertex {v} never settled — U^(ℓ) is not a partition"
             ));
+        }
+    }
+    Ok(())
+}
+
+/// Verifies the per-phase spanner-size accounting of an `n`-vertex run
+/// (Lemma 2.12): in every phase `i`, the superclustering forest adds at
+/// most `n−1` edges, and interconnection adds at most
+/// `|U_i|·min(deg_i, n+1)` paths (one per known center) of at most `δ_i`
+/// edges each, so at most `max(1, |U_i|·min(deg_i, n)·δ_i)` edges.
+///
+/// The asymptotic `O(β·n^{1+1/κ})` size bound has no constant to check, so
+/// this accounting is the form of it a run can be checked against. On
+/// `Backend::Full` the structural counters read zero, so the check passes
+/// trivially there.
+pub fn verify_phase_sizes(n: usize, phases: &[PhaseStats]) -> Result<(), String> {
+    let n = n as u64;
+    let forest = n.saturating_sub(1);
+    for p in phases {
+        let u = p.settled_clusters as u64;
+        let paths = u.saturating_mul(p.deg.min(n + 1));
+        let edges = u.saturating_mul(p.deg.min(n)).saturating_mul(p.delta);
+        for (what, count, bound) in [
+            ("forest edges", p.supercluster_path_edges, forest),
+            ("interconnect paths", p.interconnect_paths, paths),
+            ("interconnect edges", p.interconnect_edges, edges.max(1)),
+        ] {
+            if count as u64 > bound {
+                return Err(format!("phase {}: {count} {what} exceed {bound}", p.phase));
+            }
         }
     }
     Ok(())

@@ -24,16 +24,17 @@
 //!
 //! # Backends
 //!
-//! * [`build_centralized`] runs the loop over a
-//!   [`CentralizedEngine`] (reference
-//!   implementations, zero cost);
-//! * [`build_distributed`] runs the *same* loop over a
-//!   [`CongestEngine`] — every operation is a
-//!   real CONGEST protocol on the simulator, with exact round accounting;
-//! * [`crate::local::build_local`] adapts the loop to LOCAL-model cost
-//!   accounting via [`LocalEngine`](crate::local::LocalEngine);
-//! * [`crate::full::run_full_protocol`] is the engine-free cross-check: the
-//!   entire construction as one monolithic CONGEST protocol.
+//! [`crate::Session`] runs this loop for each [`crate::Backend`] but one:
+//!
+//! * [`crate::engine::CentralizedEngine`] runs it over the reference
+//!   implementations (zero cost);
+//! * [`crate::engine::CongestEngine`] runs the *same* loop with every
+//!   operation a real CONGEST protocol on the simulator, with exact round
+//!   accounting;
+//! * [`crate::local::LocalEngine`] adapts the loop to LOCAL-model cost
+//!   accounting;
+//! * `Backend::Full` is the engine-free cross-check: the entire
+//!   construction as one monolithic CONGEST protocol (see [`crate::full`]).
 //!
 //! Centralized and distributed runs produce bit-identical spanners
 //! (asserted at unit, integration and property level) — a direct
@@ -41,7 +42,7 @@
 //! *deterministic*.
 
 use crate::cluster::Clustering;
-use crate::engine::{CentralizedEngine, CongestEngine, PhaseEngine};
+use crate::engine::PhaseEngine;
 use crate::params::{ParamError, Params, Schedule};
 use crate::session::{Conduit, SessionError};
 use nas_congest::{RunHooks, RunStats};
@@ -99,65 +100,11 @@ pub struct SpannerResult {
     pub settled: Vec<Option<(usize, u32)>>,
 }
 
-impl SpannerResult {
-    /// Number of edges in the spanner.
-    pub fn num_edges(&self) -> usize {
-        self.spanner.len()
-    }
-
-    /// Materializes the spanner as a graph.
-    pub fn to_graph(&self) -> Graph {
-        self.spanner.to_graph()
-    }
-
-    /// The phase in which `v`'s cluster settled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` never settled (would contradict Corollary 2.5).
-    pub fn settled_phase(&self, v: usize) -> usize {
-        self.settled[v]
-            .expect("every vertex settles (Corollary 2.5)")
-            .0
-    }
-}
-
-/// Builds the spanner with the centralized reference implementation.
-///
-/// Thin legacy shim over the unified entry point — prefer
-/// `Session::on(g).params(p).run()`; this function is kept (bit-identical)
-/// so golden-transcript regressions keep pinning pre-redesign behavior.
-///
-/// # Errors
-///
-/// Propagates parameter/schedule validation errors.
-#[deprecated(note = "use nas_core::Session with Backend::Centralized instead")]
-pub fn build_centralized(g: &Graph, params: Params) -> Result<SpannerResult, ParamError> {
-    build_with_engine(g, params, &mut CentralizedEngine)
-}
-
-/// Builds the spanner by running every step as a CONGEST protocol on the
-/// simulator; `result.stats.rounds` is the measured running time the paper's
-/// Corollary 2.9 bounds.
-///
-/// Thin legacy shim over the unified entry point — prefer
-/// `Session::on(g).params(p).backend(Backend::Congest).run()`; this
-/// function is kept (bit-identical) so golden-transcript regressions keep
-/// pinning pre-redesign behavior.
-///
-/// # Errors
-///
-/// Propagates parameter/schedule validation errors.
-#[deprecated(note = "use nas_core::Session with Backend::Congest instead")]
-pub fn build_distributed(g: &Graph, params: Params) -> Result<SpannerResult, ParamError> {
-    build_with_engine(g, params, &mut CongestEngine::new())
-}
-
 /// The phase loop of §2.1–§2.3, generic over the execution backend.
 ///
-/// See the module docs for the engine contract. All public entry points
-/// (the legacy shims and `Session`) are thin wrappers around this function
-/// (or its observed variant).
+/// See the module docs for the engine contract. `Session::run` drives the
+/// observed variant of this loop; this function runs it with no observer,
+/// round budget or worker pool, over an engine the caller brings.
 ///
 /// # Errors
 ///
@@ -364,15 +311,17 @@ pub(crate) fn build_with_engine_ctl<E: PhaseEngine>(
 
 #[cfg(test)]
 mod tests {
-    // These tests deliberately pin the legacy shims' behavior.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::cluster::verify_settled_partition;
+    use crate::engine::{CentralizedEngine, CongestEngine};
     use nas_graph::generators;
 
     fn practical() -> Params {
         Params::practical(0.5, 4, 0.45)
+    }
+
+    fn centralized(g: &Graph) -> SpannerResult {
+        build_with_engine(g, practical(), &mut CentralizedEngine).unwrap()
     }
 
     #[test]
@@ -383,7 +332,7 @@ mod tests {
             generators::grid2d(5, 5),
             generators::connected_gnp(40, 0.1, 3),
         ] {
-            let r = build_centralized(&g, practical()).unwrap();
+            let r = centralized(&g);
             assert!(r.spanner.verify_subgraph_of(&g).is_ok());
             verify_settled_partition(g.num_vertices(), &r.settled).unwrap();
             assert_eq!(r.phases.len(), r.schedule.ell + 1);
@@ -393,16 +342,16 @@ mod tests {
     #[test]
     fn spanner_preserves_connectivity() {
         let g = generators::connected_gnp(60, 0.08, 17);
-        let r = build_centralized(&g, practical()).unwrap();
-        let h = r.to_graph();
+        let r = centralized(&g);
+        let h = r.spanner.to_graph();
         assert!(nas_graph::connectivity::is_connected(&h));
     }
 
     #[test]
     fn distributed_equals_centralized_small() {
         let g = generators::connected_gnp(30, 0.12, 5);
-        let a = build_centralized(&g, practical()).unwrap();
-        let b = build_distributed(&g, practical()).unwrap();
+        let a = centralized(&g);
+        let b = build_with_engine(&g, practical(), &mut CongestEngine::new()).unwrap();
         let mut ae: Vec<_> = a.spanner.iter().collect();
         let mut be: Vec<_> = b.spanner.iter().collect();
         ae.sort_unstable();
@@ -424,9 +373,9 @@ mod tests {
         // every cluster is unpopular, everything settles in phase 0 and the
         // spanner is the whole path.
         let g = generators::path(100); // deg_0 = ceil(100^{0.25}) = 4
-        let r = build_centralized(&g, practical()).unwrap();
+        let r = centralized(&g);
         assert_eq!(r.phases[0].settled_clusters, 100);
-        assert_eq!(r.num_edges(), 99);
+        assert_eq!(r.spanner.len(), 99);
         assert!(r.settled.iter().all(|s| s.map(|(p, _)| p) == Some(0)));
     }
 
@@ -434,14 +383,13 @@ mod tests {
     fn radius_invariant_lemma_2_3() {
         // Rebuild the per-phase clusterings and check Rad(P_i) ≤ R_i in H.
         let g = generators::connected_gnp(50, 0.15, 11);
-        let params = practical();
-        let r = build_centralized(&g, params).unwrap();
+        let r = centralized(&g);
         // The final spanner contains all phase trees, so radius measured in
         // the final H underestimates nothing the lemma promises.
         // Reconstruct P_i from settled info is not direct; instead verify via
         // the cluster trail: every settled vertex reaches its settled center
         // within R_{phase} in H.
-        let h = r.to_graph();
+        let h = r.spanner.to_graph();
         for v in 0..50 {
             let (phase, center) = r.settled[v].unwrap();
             let d = nas_graph::DistanceMap::from_source(&h, v)
@@ -458,7 +406,7 @@ mod tests {
     #[test]
     fn stats_zero_for_centralized() {
         let g = generators::grid2d(4, 4);
-        let r = build_centralized(&g, practical()).unwrap();
+        let r = centralized(&g);
         assert_eq!(r.stats.rounds, 0);
         assert!(r.phases.iter().all(|p| p.rounds == 0));
     }
@@ -466,7 +414,9 @@ mod tests {
     #[test]
     fn invalid_params_rejected() {
         let g = generators::path(10);
-        assert!(build_centralized(&g, Params::practical(0.5, 1, 0.4)).is_err());
+        assert!(
+            build_with_engine(&g, Params::practical(0.5, 1, 0.4), &mut CentralizedEngine).is_err()
+        );
     }
 
     #[test]
@@ -474,7 +424,7 @@ mod tests {
         // Lemmas 2.10/2.11: the number of clusters must shrink phase over
         // phase (strictly, once superclustering kicks in on a dense graph).
         let g = generators::complete(64);
-        let r = build_centralized(&g, practical()).unwrap();
+        let r = centralized(&g);
         for w in r.phases.windows(2) {
             assert!(
                 w[1].num_clusters <= w[0].num_clusters,

@@ -1,14 +1,15 @@
 //! The **entire construction as one CONGEST protocol** — the engine-free
 //! cross-check of the [`crate::engine::PhaseEngine`] backends.
 //!
-//! [`crate::driver::build_distributed`] runs the shared phase loop over a
+//! `Backend::Congest` runs the shared phase loop
+//! ([`crate::driver::build_with_engine`]) over a
 //! [`crate::engine::CongestEngine`], which executes each step as its own
 //! simulator run and stitches results together outside the network — faithful
 //! for round accounting, but the stitching uses global knowledge (e.g. it
 //! skips the ruling set when `W_i` is empty, something no real node could
 //! know).
 //!
-//! This module removes even that: [`run_full_protocol`] runs **one**
+//! This module removes even that: `Session` with `Backend::Full` runs **one**
 //! simulation in which every stage transition is made *locally* by each
 //! node, exactly as the paper's vertices do — by counting rounds against the
 //! schedule all nodes can derive from `(n, ε, κ, ρ)`:
@@ -28,12 +29,12 @@
 //! spanner is asserted (in tests) to be identical to both other backends.
 
 use crate::algo1::{algo1_rounds, Algo1Protocol, Knowledge};
-use crate::driver::PhaseStats;
+use crate::driver::{PhaseStats, SpannerResult};
 use crate::interconnect::TraceProtocol;
-use crate::params::{ParamError, Params, Schedule};
+use crate::params::{Params, Schedule};
 use crate::session::{Conduit, SessionError};
 use crate::supercluster::SuperclusterProtocol;
-use nas_congest::{NodeProgram, RoundCtx, RunStats, Simulator};
+use nas_congest::{NodeProgram, RoundCtx, Simulator};
 use nas_graph::{CompactGraph, EdgeSet, Graph};
 use nas_par::WorkerPool;
 use nas_ruling::{RulingParams, RulingProtocol};
@@ -84,7 +85,7 @@ fn windows(schedule: &Schedule, n: usize) -> Vec<Windows> {
 
 /// Per-node state of the composite protocol.
 #[derive(Debug, Clone)]
-pub struct FullProtocol {
+pub(crate) struct FullProtocol {
     schedule: Schedule,
     windows: Vec<Windows>,
     /// Whether this node is a cluster center in the current phase.
@@ -111,11 +112,6 @@ impl FullProtocol {
             trace: None,
             edges: Vec::new(),
         }
-    }
-
-    /// Spanner edges marked by this node (valid after the full schedule).
-    pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
     }
 
     fn harvest_phase(&mut self, concluding: bool) {
@@ -211,61 +207,23 @@ impl NodeProgram for FullProtocol {
     }
 }
 
-/// Result of the single-simulation composite run.
-#[derive(Debug, Clone)]
-pub struct FullProtocolResult {
-    /// The spanner edge set.
-    pub spanner: EdgeSet,
-    /// Measured cost; `stats.rounds` equals the fixed schedule length.
-    pub stats: RunStats,
-    /// The schedule executed.
-    pub schedule: Schedule,
-}
-
-/// Runs the entire construction as a single CONGEST protocol.
-///
-/// Thin legacy shim — prefer
-/// `Session::on(g).params(p).backend(Backend::Full).run()`, whose unified
-/// `Report` adds per-window phase records and the observer event plane.
-///
-/// # Errors
-///
-/// Propagates parameter/schedule validation errors.
-#[deprecated(note = "use nas_core::Session with Backend::Full instead")]
-pub fn run_full_protocol(g: &Graph, params: Params) -> Result<FullProtocolResult, ParamError> {
-    // Multi-core round execution on the shared pool (NAS_THREADS honored);
-    // transcripts and stats are bit-identical at every lane count, so the
-    // golden engine digests hold at every thread count.
-    let global = nas_par::global_arc();
-    let pool = (global.threads() > 1).then_some(global);
-    let mut ctl = Conduit::noop();
-    let (spanner, stats, schedule, _phases) =
-        run_full_ctl(g, params, &mut ctl, pool.as_ref(), None)
-            .map_err(SessionError::expect_param)?;
-    Ok(FullProtocolResult {
-        spanner,
-        stats,
-        schedule,
-    })
-}
-
-/// The observed composite run behind [`run_full_protocol`] and
-/// `Session::run` with `Backend::Full`: drives the single simulation one
-/// schedule window at a time, emitting `PhaseStarted` / `PhaseFinished`
-/// through `ctl` and reporting every round to its observer (which may
-/// cancel on budget exhaustion).
+/// The observed composite run behind `Session::run` with `Backend::Full`:
+/// drives the single simulation one schedule window at a time, emitting
+/// `PhaseStarted` / `PhaseFinished` through `ctl` and reporting every round
+/// to its observer (which may cancel on budget exhaustion).
 ///
 /// The per-phase records carry only the window quantities every node can
 /// derive locally (`δ_i`, `deg_i`, rounds); the structural counters
 /// (cluster/popular/settled counts) require a global view the composite
-/// protocol deliberately does not have, and read as zero.
+/// protocol deliberately does not have, and read as zero. For the same
+/// reason the settled table comes back empty.
 pub(crate) fn run_full_ctl(
     g: &Graph,
     params: Params,
     ctl: &mut Conduit<'_>,
     pool: Option<&Arc<WorkerPool>>,
     store: Option<&Arc<CompactGraph>>,
-) -> Result<(EdgeSet, RunStats, Schedule, Vec<PhaseStats>), SessionError> {
+) -> Result<SpannerResult, SessionError> {
     let n = g.num_vertices();
     let schedule = params.schedule(n)?;
     let windows = windows(&schedule, n);
@@ -306,26 +264,39 @@ pub(crate) fn run_full_ctl(
     let stats = *sim.stats();
     let mut spanner = EdgeSet::new(n);
     for p in sim.into_programs() {
-        for &(a, b) in p.edges() {
+        for &(a, b) in &p.edges {
             spanner.insert(a as usize, b as usize);
         }
     }
-    Ok((spanner, stats, schedule, phases))
+    Ok(SpannerResult {
+        spanner,
+        schedule,
+        stats,
+        phases,
+        settled: Vec::new(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    // These tests deliberately pin the legacy shims' behavior.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::{build_centralized, build_distributed};
+    use crate::driver::build_with_engine;
+    use crate::engine::{CentralizedEngine, CongestEngine};
+    use crate::{Backend, Report, Session};
     use nas_graph::generators;
 
     fn sorted(s: &EdgeSet) -> Vec<(usize, usize)> {
         let mut v: Vec<_> = s.iter().collect();
         v.sort_unstable();
         v
+    }
+
+    fn run_full(g: &Graph, params: Params) -> Report {
+        Session::on(g)
+            .params(params)
+            .backend(Backend::Full)
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -337,9 +308,9 @@ mod tests {
             ("complete(14)", generators::complete(14)),
             ("cycle(18)", generators::cycle(18)),
         ] {
-            let central = build_centralized(&g, params).unwrap();
-            let staged = build_distributed(&g, params).unwrap();
-            let full = run_full_protocol(&g, params).unwrap();
+            let central = build_with_engine(&g, params, &mut CentralizedEngine).unwrap();
+            let staged = build_with_engine(&g, params, &mut CongestEngine::new()).unwrap();
+            let full = run_full(&g, params);
             assert_eq!(
                 sorted(&central.spanner),
                 sorted(&full.spanner),
@@ -360,7 +331,7 @@ mod tests {
     fn rounds_equal_fixed_schedule_length() {
         let params = Params::practical(0.5, 4, 0.45);
         let g = generators::connected_gnp(24, 0.15, 9);
-        let full = run_full_protocol(&g, params).unwrap();
+        let full = run_full(&g, params);
         let w = super::windows(&full.schedule, 24);
         assert_eq!(full.stats.rounds, w.last().unwrap().end);
         // And the fixed length respects the per-phase bound of Lemma 2.8.
@@ -371,8 +342,8 @@ mod tests {
     fn deterministic_transcript() {
         let params = Params::practical(0.5, 4, 0.45);
         let g = generators::preferential_attachment(26, 2, 3);
-        let a = run_full_protocol(&g, params).unwrap();
-        let b = run_full_protocol(&g, params).unwrap();
+        let a = run_full(&g, params);
+        let b = run_full(&g, params);
         assert_eq!(a.stats, b.stats);
         assert_eq!(sorted(&a.spanner), sorted(&b.spanner));
     }

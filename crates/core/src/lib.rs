@@ -56,10 +56,9 @@
 //! # Ok::<(), nas_core::SessionError>(())
 //! ```
 //!
-//! The historical free functions (`build_centralized`,
-//! `build_distributed`, `build_local`, `run_full_protocol`) remain as
-//! deprecated bit-identical shims so golden-transcript regressions keep
-//! their anchors.
+//! [`Session`] is the one entry point. Under it, [`build_with_engine`] is
+//! the phase loop itself, for callers that bring their own [`PhaseEngine`]
+//! (an instrumented engine, for example).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,16 +74,9 @@ pub mod params;
 pub mod session;
 pub mod supercluster;
 
-#[allow(deprecated)]
-pub use driver::{build_centralized, build_distributed};
 pub use driver::{build_with_engine, PhaseStats, SpannerResult};
 pub use engine::{CentralizedEngine, CongestEngine, PhaseEngine};
-#[allow(deprecated)]
-pub use full::run_full_protocol;
-pub use full::{FullProtocol, FullProtocolResult};
-#[allow(deprecated)]
-pub use local::build_local;
-pub use local::{LocalEngine, LocalRunResult};
+pub use local::LocalEngine;
 pub use params::{betas, Mode, ParamError, Params, Schedule};
 pub use session::{
     Backend, Event, EventLog, Observer, Report, Session, SessionError, Store, StretchSummary,

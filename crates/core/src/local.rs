@@ -9,7 +9,8 @@
 //! complete in `δ_i` rounds. The phase structure, ruling sets,
 //! superclustering and interconnection logic are unchanged — which is why
 //! the whole mode is just another [`PhaseEngine`] plugged into the single
-//! phase loop of [`crate::driver::build_with_engine`]:
+//! phase loop of [`crate::driver::build_with_engine`] (`Session` runs it as
+//! `Backend::Local`):
 //!
 //! * [`LocalEngine::detect_popular`] gathers the *uncapped* `δ_i`-ball
 //!   (centralized reference with capacity `n+1`) and applies the popularity
@@ -29,13 +30,11 @@
 //! centralized reference does not.
 
 use crate::algo1::{algo1_centralized, PopularityInfo};
-use crate::driver::build_with_engine;
 use crate::engine::PhaseEngine;
 use crate::interconnect::{interconnect_centralized, Interconnection};
-use crate::params::{ParamError, Params};
 use crate::supercluster::{supercluster_centralized, Superclustering};
 use nas_congest::{RunHooks, RunStats};
-use nas_graph::{EdgeSet, Graph};
+use nas_graph::Graph;
 use nas_ruling::{ruling_set_centralized, RulingParams, RulingSet};
 
 /// LOCAL-model backend: centralized execution of every primitive, with
@@ -142,61 +141,12 @@ impl PhaseEngine for LocalEngine {
     }
 }
 
-/// Result of a LOCAL-model run: the spanner plus the exact LOCAL round
-/// accounting.
-#[derive(Debug, Clone)]
-pub struct LocalRunResult {
-    /// The spanner.
-    pub spanner: EdgeSet,
-    /// LOCAL rounds, summed over phases (gathering + ruling set +
-    /// superclustering + interconnection).
-    pub rounds: u64,
-    /// Per-phase LOCAL rounds.
-    pub phase_rounds: Vec<u64>,
-    /// The schedule used.
-    pub schedule: crate::params::Schedule,
-}
-
-impl LocalRunResult {
-    /// Number of spanner edges.
-    pub fn num_edges(&self) -> usize {
-        self.spanner.len()
-    }
-
-    /// Materializes the spanner as a graph.
-    pub fn to_graph(&self) -> Graph {
-        self.spanner.to_graph()
-    }
-}
-
-/// Builds the spanner under LOCAL-model semantics (see module docs) — a
-/// thin adapter over the shared phase loop with a [`LocalEngine`].
-///
-/// Thin legacy shim — prefer
-/// `Session::on(g).params(p).backend(Backend::Local).run()`, whose unified
-/// `Report` carries the same accounting plus settlement records.
-///
-/// # Errors
-///
-/// Propagates parameter/schedule validation errors.
-#[deprecated(note = "use nas_core::Session with Backend::Local instead")]
-pub fn build_local(g: &Graph, params: Params) -> Result<LocalRunResult, ParamError> {
-    let r = build_with_engine(g, params, &mut LocalEngine::new())?;
-    Ok(LocalRunResult {
-        phase_rounds: r.phases.iter().map(|p| p.rounds).collect(),
-        rounds: r.stats.rounds,
-        spanner: r.spanner,
-        schedule: r.schedule,
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests deliberately pin the legacy shims' behavior.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::build_centralized;
+    use crate::driver::{build_with_engine, SpannerResult};
+    use crate::engine::{CentralizedEngine, CongestEngine};
+    use crate::params::Params;
     use nas_graph::generators;
     use nas_metrics_shim::stretch_ok;
 
@@ -230,11 +180,15 @@ mod tests {
         }
     }
 
+    fn local_run(g: &Graph, params: Params) -> SpannerResult {
+        build_with_engine(g, params, &mut LocalEngine::new()).unwrap()
+    }
+
     #[test]
     fn local_run_is_valid() {
         let g = generators::connected_gnp(80, 0.08, 3);
         let params = Params::practical(0.5, 4, 0.45);
-        let r = build_local(&g, params).unwrap();
+        let r = local_run(&g, params);
         assert!(r.spanner.verify_subgraph_of(&g).is_ok());
         let env = r
             .schedule
@@ -242,7 +196,7 @@ mod tests {
             .max(4.0 * r.schedule.r_bound[r.schedule.ell] as f64 + 1.0);
         assert!(stretch_ok(
             &g,
-            &r.to_graph(),
+            &r.spanner.to_graph(),
             r.schedule.alpha_nominal(),
             env
         ));
@@ -253,12 +207,12 @@ mod tests {
         // The whole point: LOCAL drops the deg_i bandwidth factor.
         let g = generators::random_regular(128, 8, 1);
         let params = Params::practical(0.5, 4, 0.45);
-        let local = build_local(&g, params).unwrap();
-        let congest = crate::build_distributed(&g, params).unwrap();
+        let local = local_run(&g, params);
+        let congest = build_with_engine(&g, params, &mut CongestEngine::new()).unwrap();
         assert!(
-            local.rounds < congest.stats.rounds,
+            local.stats.rounds < congest.stats.rounds,
             "LOCAL {} vs CONGEST {}",
-            local.rounds,
+            local.stats.rounds,
             congest.stats.rounds
         );
     }
@@ -267,18 +221,21 @@ mod tests {
     fn local_spanner_size_comparable_to_congest() {
         let g = generators::connected_gnp(60, 0.1, 9);
         let params = Params::practical(0.5, 4, 0.45);
-        let local = build_local(&g, params).unwrap();
-        let congest = build_centralized(&g, params).unwrap();
+        let local = local_run(&g, params);
+        let congest = build_with_engine(&g, params, &mut CentralizedEngine).unwrap();
         // Same popularity predicate ⟹ same phase structure; edges may differ
         // slightly (parent tie-breaks), sizes must be in the same ballpark.
-        let (a, b) = (local.num_edges() as f64, congest.num_edges() as f64);
+        let (a, b) = (local.spanner.len() as f64, congest.spanner.len() as f64);
         assert!(a <= 1.5 * b + 10.0 && b <= 1.5 * a + 10.0, "{a} vs {b}");
     }
 
     #[test]
     fn phase_rounds_sum() {
         let g = generators::grid2d(8, 8);
-        let r = build_local(&g, Params::practical(0.5, 4, 0.45)).unwrap();
-        assert_eq!(r.phase_rounds.iter().sum::<u64>(), r.rounds);
+        let r = local_run(&g, Params::practical(0.5, 4, 0.45));
+        assert_eq!(
+            r.phases.iter().map(|p| p.rounds).sum::<u64>(),
+            r.stats.rounds
+        );
     }
 }

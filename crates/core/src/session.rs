@@ -1,10 +1,8 @@
 //! The unified, fluent entry point: [`Session`] → [`Report`].
 //!
-//! Before this module, every caller picked one of four free functions
-//! (`build_centralized`, `build_distributed`, `build_local`,
-//! `run_full_protocol`) returning three incompatible result types, and
-//! re-wired parameters, thread pools, and statistics by hand. A `Session`
-//! replaces all of that with one composable builder:
+//! A `Session` is the one way to run the construction: one composable
+//! builder for parameters, backend, adjacency store, worker pool, round
+//! budget and observer, returning one [`Report`] for every backend:
 //!
 //! ```
 //! use nas_core::{Backend, Params, Session};
@@ -304,7 +302,7 @@ impl From<ParamError> for SessionError {
 
 impl SessionError {
     /// Unwraps the [`SessionError::Param`] variant on code paths that
-    /// configure no round budget (the silent legacy shims), where budget
+    /// configure no round budget (`build_with_engine`), where budget
     /// exhaustion is impossible by construction.
     pub(crate) fn expect_param(self) -> ParamError {
         match self {
@@ -331,9 +329,7 @@ pub struct StretchSummary {
     pub beta_envelope: f64,
 }
 
-/// The unified result of a [`Session`] run — one type for every backend,
-/// replacing the historical `SpannerResult` / `LocalRunResult` /
-/// `FullProtocolResult` triple.
+/// The unified result of a [`Session`] run — one type for every backend.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// The backend that executed the run.
@@ -482,7 +478,7 @@ impl<'o> Conduit<'o> {
         self.fast_forward
     }
 
-    /// A silent conduit with no budget — what the legacy entry points run
+    /// A silent conduit with no budget — what `build_with_engine` runs
     /// with; every emission and check below is a no-op.
     pub(crate) fn noop() -> Conduit<'static> {
         Conduit::new(None, None)
@@ -811,15 +807,7 @@ impl<'g, 'o> Session<'g, 'o> {
                 compact.as_ref(),
             )?,
             Backend::Full => {
-                let (spanner, stats, schedule, phases) =
-                    run_full_ctl(graph, params, &mut conduit, pool.as_ref(), compact.as_ref())?;
-                SpannerResult {
-                    spanner,
-                    schedule,
-                    stats,
-                    phases,
-                    settled: Vec::new(),
-                }
+                run_full_ctl(graph, params, &mut conduit, pool.as_ref(), compact.as_ref())?
             }
         };
         let wall = start.elapsed();

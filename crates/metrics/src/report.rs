@@ -1,4 +1,4 @@
-//! Serializable experiment records (consumed by EXPERIMENTS.md generation).
+//! Serializable experiment records.
 
 use serde::{Deserialize, Serialize};
 
@@ -6,7 +6,8 @@ use serde::{Deserialize, Serialize};
 /// and what we measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentRecord {
-    /// Experiment id, e.g. `"E-T1"` (see DESIGN.md §8).
+    /// Experiment id, e.g. `"E-T1"`, as it opens the module docs of the
+    /// `nas-bench` binary that runs the experiment.
     pub experiment: String,
     /// The workload, e.g. `"gnp(1024, 0.01, seed 7)"`.
     pub workload: String,

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment binaries.
 //!
 //! The bench binaries print the regenerated Tables 1–2 and figure series in
-//! aligned monospace tables; EXPERIMENTS.md embeds their output verbatim.
+//! aligned monospace tables.
 
 /// A column-aligned plain-text table builder.
 ///

@@ -3,13 +3,12 @@
 //! and its measured round count respects the schedule bound (Corollary 2.9's
 //! concrete analogue).
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
+use nas_core::{Backend, Params, Report, Session};
+use nas_graph::{generators, Graph};
 
-use nas_core::{build_centralized, build_distributed, Params};
-use nas_graph::generators;
+fn build(g: &Graph, p: Params, b: Backend) -> Report {
+    Session::on(g).params(p).backend(b).run().unwrap()
+}
 
 fn sorted_edges(s: &nas_graph::EdgeSet) -> Vec<(usize, usize)> {
     let mut v: Vec<_> = s.iter().collect();
@@ -32,8 +31,8 @@ fn distributed_equals_centralized_corpus() {
         Params::practical(1.0, 4, 0.49),
     ] {
         for (name, g) in &graphs {
-            let a = build_centralized(g, params).unwrap();
-            let b = build_distributed(g, params).unwrap();
+            let a = build(g, params, Backend::Centralized);
+            let b = build(g, params, Backend::Congest);
             assert_eq!(
                 sorted_edges(&a.spanner),
                 sorted_edges(&b.spanner),
@@ -68,8 +67,8 @@ fn distributed_equals_centralized_corpus() {
 fn distributed_run_is_reproducible() {
     let g = generators::connected_gnp(30, 0.12, 9);
     let p = Params::practical(0.5, 4, 0.45);
-    let a = build_distributed(&g, p).unwrap();
-    let b = build_distributed(&g, p).unwrap();
+    let a = build(&g, p, Backend::Congest);
+    let b = build(&g, p, Backend::Congest);
     assert_eq!(a.stats, b.stats, "transcripts must be identical");
     assert_eq!(sorted_edges(&a.spanner), sorted_edges(&b.spanner));
 }
@@ -85,8 +84,8 @@ fn rounds_grow_sublinearly_in_n() {
     let p = Params::practical(0.5, 4, 0.45);
     let g1 = generators::random_regular(64, 8, 1);
     let g2 = generators::random_regular(256, 8, 1);
-    let r1 = build_distributed(&g1, p).unwrap();
-    let r2 = build_distributed(&g2, p).unwrap();
+    let r1 = build(&g1, p, Backend::Congest);
+    let r2 = build(&g2, p, Backend::Congest);
     let ratio = r2.stats.rounds as f64 / r1.stats.rounds as f64;
     assert!(
         ratio < 4.0,

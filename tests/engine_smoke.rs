@@ -4,25 +4,23 @@
 //!
 //! This is the cheapest end-to-end witness of the paper's headline claim
 //! (the construction is deterministic, so derandomization costs no
-//! structure) and of the refactor's core invariant: `build_centralized`,
-//! `build_distributed`, and `build_with_engine` with the matching engine
-//! are the same computation.
-
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
+//! structure) and of the engine seam's core invariant: `Session` on
+//! `Backend::Centralized` or `Backend::Congest`, and `build_with_engine`
+//! with the matching engine, are the same computation.
 
 use nas_core::{
-    build_centralized, build_distributed, build_with_engine, CentralizedEngine, CongestEngine,
-    Params, SpannerResult,
+    build_with_engine, Backend, CentralizedEngine, CongestEngine, Params, Report, Session,
 };
-use nas_graph::{generators, Graph};
+use nas_graph::{generators, EdgeSet, Graph};
 
-fn sorted_edges(r: &SpannerResult) -> Vec<(usize, usize)> {
-    let mut v: Vec<_> = r.spanner.iter().collect();
+fn sorted_edges(s: &EdgeSet) -> Vec<(usize, usize)> {
+    let mut v: Vec<_> = s.iter().collect();
     v.sort_unstable();
     v
+}
+
+fn build(g: &Graph, p: Params, b: Backend) -> Report {
+    Session::on(g).params(p).backend(b).run().unwrap()
 }
 
 fn workloads() -> Vec<(&'static str, Graph)> {
@@ -40,27 +38,27 @@ fn workloads() -> Vec<(&'static str, Graph)> {
 fn centralized_equals_distributed_via_engine_seam() {
     let params = Params::practical(0.5, 4, 0.45);
     for (name, g) in workloads() {
-        // Through the public wrappers...
-        let central = build_centralized(&g, params).unwrap();
-        let distributed = build_distributed(&g, params).unwrap();
+        // Through `Session`...
+        let central = build(&g, params, Backend::Centralized);
+        let distributed = build(&g, params, Backend::Congest);
         // ...and explicitly through the PhaseEngine seam.
         let via_central_engine = build_with_engine(&g, params, &mut CentralizedEngine).unwrap();
         let via_congest_engine = build_with_engine(&g, params, &mut CongestEngine::new()).unwrap();
 
-        let reference = sorted_edges(&central);
+        let reference = sorted_edges(&central.spanner);
         assert_eq!(
             reference,
-            sorted_edges(&distributed),
+            sorted_edges(&distributed.spanner),
             "{name}: distributed differs"
         );
         assert_eq!(
             reference,
-            sorted_edges(&via_central_engine),
+            sorted_edges(&via_central_engine.spanner),
             "{name}: explicit CentralizedEngine differs"
         );
         assert_eq!(
             reference,
-            sorted_edges(&via_congest_engine),
+            sorted_edges(&via_congest_engine.spanner),
             "{name}: explicit CongestEngine differs"
         );
 
@@ -87,7 +85,7 @@ fn centralized_equals_distributed_via_engine_seam() {
 fn spanner_is_subgraph_and_connected_on_all_workloads() {
     let params = Params::practical(0.5, 4, 0.45);
     for (name, g) in workloads() {
-        let r = build_centralized(&g, params).unwrap();
+        let r = build(&g, params, Backend::Centralized);
         assert!(r.spanner.verify_subgraph_of(&g).is_ok(), "{name}");
         assert!(
             nas_graph::connectivity::is_connected(&r.to_graph()),

@@ -1,19 +1,16 @@
 //! Golden regression tests for the engine-level CONGEST runs.
 //!
 //! The values below (spanner edge sets as FNV hashes, exact round and
-//! message totals) were captured from PR 1's engines running on the
+//! message totals) were captured from the first engines running on the
 //! pre-arena simulator. The rebuilt message plane must reproduce them
-//! byte-for-byte: the staged `CongestEngine` pipeline and the one-shot
-//! `run_full_protocol` composite both route every protocol message through
-//! the plane, so any drift here means delivery order, scheduling, or
-//! accounting changed observably.
+//! byte-for-byte: the staged `Backend::Congest` pipeline and the one-shot
+//! `Backend::Full` composite both route every protocol message through the
+//! plane, so any drift here means delivery order, scheduling, or accounting
+//! changed observably. Both run on the process-wide pool (`NAS_THREADS`),
+//! so the values are pinned at every lane count the suite runs at.
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
-
-use nas_graph::generators;
+use nas_core::{Backend, Params, Report, Session};
+use nas_graph::{generators, Graph};
 
 fn edge_hash(mut edges: Vec<(usize, usize)>) -> u64 {
     edges.sort_unstable();
@@ -31,7 +28,7 @@ fn edge_hash(mut edges: Vec<(usize, usize)>) -> u64 {
 
 struct Golden {
     name: &'static str,
-    graph: nas_graph::Graph,
+    graph: Graph,
     edges: usize,
     edge_hash: u64,
     staged_rounds: u64,
@@ -71,11 +68,15 @@ fn goldens() -> Vec<Golden> {
     ]
 }
 
+fn build(g: &Graph, p: Params, b: Backend) -> Report {
+    Session::on(g).params(p).backend(b).run().unwrap()
+}
+
 #[test]
 fn staged_engine_matches_pre_refactor_goldens() {
-    let params = nas_core::Params::practical(0.5, 4, 0.45);
+    let params = Params::practical(0.5, 4, 0.45);
     for g in goldens() {
-        let r = nas_core::build_distributed(&g.graph, params).unwrap();
+        let r = build(&g.graph, params, Backend::Congest);
         let edges: Vec<(usize, usize)> = r.spanner.iter().collect();
         assert_eq!(edges.len(), g.edges, "{}: edge count drifted", g.name);
         assert_eq!(
@@ -96,9 +97,9 @@ fn staged_engine_matches_pre_refactor_goldens() {
 
 #[test]
 fn full_protocol_matches_pre_refactor_goldens() {
-    let params = nas_core::Params::practical(0.5, 4, 0.45);
+    let params = Params::practical(0.5, 4, 0.45);
     for g in goldens() {
-        let r = nas_core::run_full_protocol(&g.graph, params).unwrap();
+        let r = build(&g.graph, params, Backend::Full);
         let edges: Vec<(usize, usize)> = r.spanner.iter().collect();
         assert_eq!(edges.len(), g.edges, "{}: edge count drifted", g.name);
         assert_eq!(

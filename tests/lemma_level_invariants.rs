@@ -9,16 +9,12 @@
 //! * **Corollary 2.5** — `U^{(ℓ)}` partitions `V` (every vertex settles
 //!   exactly once).
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
-
-use nas_core::{build_centralized, Params};
+use nas_core::{Backend, Params, Report, Session};
 use nas_graph::{generators, DistanceMap, Graph};
 
-fn build(g: &Graph) -> nas_core::SpannerResult {
-    build_centralized(g, Params::practical(0.5, 4, 0.45)).unwrap()
+fn build(g: &Graph) -> Report {
+    let (p, b) = (Params::practical(0.5, 4, 0.45), Backend::Centralized);
+    Session::on(g).params(p).backend(b).run().unwrap()
 }
 
 #[test]

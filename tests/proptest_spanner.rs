@@ -1,14 +1,13 @@
 //! Property-based end-to-end tests on random graphs and parameters.
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
-
-use nas_core::{build_centralized, build_distributed, Params};
-use nas_graph::generators;
+use nas_core::{Backend, Params, Report, Session};
+use nas_graph::{generators, Graph};
 use nas_metrics::stretch_audit;
 use proptest::prelude::*;
+
+fn build(g: &Graph, p: Params, b: Backend) -> Report {
+    Session::on(g).params(p).backend(b).run().unwrap()
+}
 
 fn arb_params() -> impl Strategy<Value = Params> {
     (
@@ -30,7 +29,7 @@ proptest! {
         params in arb_params(),
     ) {
         let g = generators::gnp(n, p, seed);
-        let r = build_centralized(&g, params).unwrap();
+        let r = build(&g, params, Backend::Centralized);
         prop_assert!(r.spanner.verify_subgraph_of(&g).is_ok());
         // Same-component pairs stay connected and inside the envelope.
         let audit = stretch_audit(&g, &r.to_graph(), params.eps);
@@ -50,8 +49,8 @@ proptest! {
     ) {
         let g = generators::gnp(n, p, seed);
         let params = Params::practical(0.5, 4, 0.45);
-        let a = build_centralized(&g, params).unwrap();
-        let b = build_distributed(&g, params).unwrap();
+        let a = build(&g, params, Backend::Centralized);
+        let b = build(&g, params, Backend::Congest);
         let mut ae: Vec<_> = a.spanner.iter().collect();
         let mut be: Vec<_> = b.spanner.iter().collect();
         ae.sort_unstable();

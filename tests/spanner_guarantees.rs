@@ -1,14 +1,14 @@
 //! Cross-crate integration tests: the paper's end-to-end guarantees
 //! (Corollary 2.18 and the lemmas behind it) hold on a corpus of graphs.
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
-
-use nas_core::{build_centralized, Params};
+use nas_core::cluster::{verify_phase_sizes, verify_settled_partition};
+use nas_core::{Backend, Params, Report, Session};
 use nas_graph::{connectivity, generators, Graph};
 use nas_metrics::stretch_audit;
+
+fn build(g: &Graph, p: Params, b: Backend) -> Report {
+    Session::on(g).params(p).backend(b).run().unwrap()
+}
 
 fn corpus() -> Vec<(&'static str, Graph)> {
     vec![
@@ -48,7 +48,7 @@ fn params_grid() -> Vec<Params> {
 fn spanner_is_valid_and_stretch_bounded_across_corpus() {
     for (name, g) in corpus() {
         for params in params_grid() {
-            let r = build_centralized(&g, params).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let r = build(&g, params, Backend::Centralized);
             // Subgraph property.
             assert!(
                 r.spanner.verify_subgraph_of(&g).is_ok(),
@@ -89,8 +89,8 @@ fn spanner_is_valid_and_stretch_bounded_across_corpus() {
 fn settled_sets_partition_v() {
     // Corollary 2.5 on the corpus.
     for (name, g) in corpus() {
-        let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
-        nas_core::cluster::verify_settled_partition(g.num_vertices(), &r.settled)
+        let r = build(&g, Params::practical(0.5, 4, 0.45), Backend::Centralized);
+        verify_settled_partition(g.num_vertices(), &r.settled)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         // Settled phases are within [0, ℓ].
         for v in 0..g.num_vertices() {
@@ -101,35 +101,23 @@ fn settled_sets_partition_v() {
 
 #[test]
 fn size_bound_holds_with_margin() {
-    // Lemma 2.12 / Corollary 2.13: |H| = O(n^{1+1/κ}·δ_ℓ)-ish; we assert the
-    // concrete per-phase accounting: each phase adds at most
-    // n + n^{1+1/κ}·deg-paths × length δ... and globally |H| ≤ m anyway.
-    // The sharp, implementation-exact bound:
-    //   interconnect paths per phase ≤ |U_i|·deg_i, each of length ≤ δ_i;
-    //   supercluster paths ≤ n−1 forest edges.
+    // Lemma 2.12: the per-phase size accounting (forest edges < n; at most
+    // |U_i|·deg_i interconnect paths, each of length ≤ δ_i) holds on every
+    // phase of every corpus run.
     for (name, g) in corpus() {
-        let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
-        let n = g.num_vertices() as u64;
-        for p in &r.phases {
-            assert!(
-                (p.supercluster_path_edges as u64) < n,
-                "{name} phase {}: forest paths exceed n−1",
-                p.phase
-            );
-            let path_bound = p.settled_clusters as u64 * p.deg.min(n) * p.delta;
-            assert!(
-                p.interconnect_edges as u64 <= path_bound.max(1),
-                "{name} phase {}: interconnect edges {} exceed bound {path_bound}",
-                p.phase,
-                p.interconnect_edges
-            );
-            // The paper's per-phase path count: |U_i| · deg_i.
-            assert!(
-                p.interconnect_paths as u64 <= p.settled_clusters as u64 * p.deg.min(n + 1),
-                "{name} phase {}: too many interconnect paths",
-                p.phase
-            );
-        }
+        let r = build(&g, Params::practical(0.5, 4, 0.45), Backend::Centralized);
+        verify_phase_sizes(g.num_vertices(), &r.phases).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    // And the check bites: each counter past its largest bound fails it.
+    let g = generators::complete(60);
+    let n = g.num_vertices();
+    let p = build(&g, Params::practical(0.5, 4, 0.45), Backend::Centralized).phases[0];
+    let mut bad = [p; 3];
+    bad[0].supercluster_path_edges = n;
+    bad[1].interconnect_paths = p.settled_clusters * (n + 1) + 1;
+    bad[2].interconnect_edges = (p.settled_clusters * n * p.delta as usize).max(1) + 1;
+    for b in bad {
+        assert!(verify_phase_sizes(n, &[b]).is_err(), "{b:?}");
     }
 }
 
@@ -138,7 +126,7 @@ fn radius_invariant_holds_on_corpus() {
     // Lemma 2.3 (via settled clusters): every vertex reaches its settled
     // center within R_i in the final spanner.
     for (name, g) in corpus().into_iter().take(6) {
-        let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
+        let r = build(&g, Params::practical(0.5, 4, 0.45), Backend::Centralized);
         let h = r.to_graph();
         for v in 0..g.num_vertices() {
             let (phase, center) = r.settled[v].unwrap();
@@ -158,8 +146,8 @@ fn radius_invariant_holds_on_corpus() {
 fn deterministic_across_runs() {
     let g = generators::connected_gnp(100, 0.08, 42);
     let p = Params::practical(0.5, 4, 0.45);
-    let a = build_centralized(&g, p).unwrap();
-    let b = build_centralized(&g, p).unwrap();
+    let a = build(&g, p, Backend::Centralized);
+    let b = build(&g, p, Backend::Centralized);
     assert_eq!(a.spanner, b.spanner);
     assert_eq!(a.settled, b.settled);
     assert_eq!(a.phases, b.phases);
@@ -177,7 +165,7 @@ fn disconnected_graphs_are_handled() {
         b.add_edge(v - 1, v);
     }
     let g = b.build();
-    let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
+    let r = build(&g, Params::practical(0.5, 4, 0.45), Backend::Centralized);
     let audit = stretch_audit(&g, &r.to_graph(), 0.5);
     assert_eq!(audit.disconnected_pairs, 0);
     assert_eq!(r.num_edges(), 58); // both paths kept whole
