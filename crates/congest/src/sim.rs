@@ -1117,11 +1117,9 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         !self.arena.msg_active.is_empty()
     }
 
-    /// Number of nodes the next [`step`](Simulator::step) will visit.
-    /// Timed wake-ups due next round are counted without dedup against the
-    /// other sets, so the value can overcount when a wake coincides with a
-    /// message arrival (exact whenever no protocol uses
-    /// [`NodeProgram::next_wake`]).
+    /// Number of nodes the next [`step`](Simulator::step) will visit: the
+    /// union of the nodes with mail, the non-idle nodes and the nodes whose
+    /// timed wake-up is due, each counted once.
     pub fn active_nodes(&self) -> usize {
         if self.wake_all {
             return self.n;
@@ -1140,13 +1138,18 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             }
             out += 1;
         }
-        let due: usize = self
+        // Due wake-ups may repeat a node and may coincide with the lists
+        // above (`build_visit` sorts and dedups them the same way).
+        let mut due: Vec<u32> = self
             .arena
             .timers
             .range(..=self.round)
-            .map(|(_, v)| v.len())
-            .sum();
-        out + (a.len() - i) + (b.len() - j) + due
+            .flat_map(|(_, v)| v.iter().copied())
+            .collect();
+        due.sort_unstable();
+        due.dedup();
+        due.retain(|v| a.binary_search(v).is_err() && b.binary_search(v).is_err());
+        out + (a.len() - i) + (b.len() - j) + due.len()
     }
 
     /// Whether the network is quiet: no messages in flight, every program
@@ -2239,9 +2242,14 @@ mod tests {
         let ping = |wake| PingAt { wake, done: false };
         let mut sim = Simulator::new(&g, vec![ping(1), ping(2)]);
         let mut log = ActiveLog(Vec::new());
-        sim.run_rounds_observed(3, &mut log);
+        let mut predicted = Vec::new();
+        for _ in 0..3 {
+            predicted.push(sim.active_nodes());
+            sim.run_rounds_observed(1, &mut log);
+        }
         assert!(sim.programs().iter().all(|p| p.done));
         assert_eq!(log.0, [2, 1, 1]);
+        assert_eq!(predicted, log.0);
     }
 
     #[test]

@@ -40,6 +40,31 @@
 //! arbitrary choices the paper allows ("choose `deg` arbitrary messages")
 //! are made deterministic (smallest ids first) so the centralized and
 //! distributed implementations agree bit-for-bit — asserted in tests.
+//!
+//! # Node state: an append-only knowledge log
+//!
+//! [`algo1_centralized`] is the reference: it keeps every vertex's table
+//! as a [`SmallKnowledge`] sorted by center and runs the acceptance rule
+//! literally. A distributed node ([`Algo1Protocol`]) instead appends what
+//! it accepts to a log. Every acceptance round adds entries of a single
+//! distance and distances only grow, so the log is in nondecreasing
+//! distance order, and each question the protocol asks is answered at its
+//! tail:
+//!
+//! * the phase-`p` forward list is the log's tail run of distance-`p`
+//!   entries, sorted by center in place at the phase start;
+//! * the next wake-up is the phase of the last entry, if that lies beyond
+//!   the current phase;
+//! * an arrival is a duplicate iff its center is already in the log (a
+//!   linear scan of at most `deg + 1` entries), and new centers are
+//!   appended in sender order — the inbox is sender-ascending, so the first
+//!   copy of a center carries the smallest sender, as in the reference;
+//! * a full log skips the acceptance step; a round whose new centers
+//!   overflow the free capacity sorts them in a per-thread scratch and
+//!   keeps the smallest ids, so the log never outgrows its capacity.
+//!
+//! The harvest ([`Algo1Protocol::into_knowledge`]) sorts the log once by
+//! center, yielding the same [`SmallKnowledge`] the reference builds.
 
 use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, SimArena, Simulator};
 use nas_graph::Graph;
@@ -60,26 +85,31 @@ pub struct KnownCenter {
 /// A flat sorted knowledge table: what one vertex knows after Algorithm 1,
 /// keyed by center id (its own id is never included).
 ///
+/// This is the harvested form that interconnection, the composite protocol
+/// and [`PopularityInfo`] read, and the table [`algo1_centralized`] runs
+/// the acceptance rule on. The distributed protocol does not touch it per
+/// message: its nodes append to a log and sort it into this table once,
+/// when the run is harvested (see the module docs).
+///
 /// # Why not a `BTreeMap`
 ///
 /// Algorithm 1 caps every table at the phase's degree budget (`deg + 1`
 /// entries, see the module docs on self-inclusive capacity), so the table
-/// is *small and bounded* — the
-/// regime where a sorted `Vec<(u32, KnownCenter)>` with binary-search
-/// insert beats a node-allocating tree on every axis: one contiguous
-/// allocation per vertex instead of one per entry, O(cap) cache-friendly
-/// shifts on insert, and iteration as a linear scan. On the 1e6
-/// pref_attach spanner this table is touched once per accepted message,
-/// which made the `BTreeMap` it replaced the dominant per-message cost.
+/// is *small and bounded* — the regime where a sorted
+/// `Vec<(u32, KnownCenter)>` beats a node-allocating tree on every axis:
+/// one contiguous allocation per vertex instead of one per entry, lookups
+/// by binary search, and iteration as a linear scan.
 ///
 /// # Invariants
 ///
 /// * `entries` is sorted strictly ascending by center id — maintained by
-///   the binary-search [`insert`](SmallKnowledge::insert); there are never
-///   duplicate keys.
+///   the binary-search [`insert`](SmallKnowledge::insert) and by the
+///   harvest's sort of a duplicate-free log; there are never duplicate
+///   keys.
 /// * The *capacity* bound (`deg + 1`) is enforced by the caller
-///   (`accept_round` checks `len() >= cap` before inserting), not by the
-///   table itself — the table only promises sortedness.
+///   (`accept_round` checks `len() >= cap` before inserting, the
+///   distributed log never grows past it), not by the table itself — the
+///   table only promises sortedness.
 ///
 /// # Drop-in equivalence with the old `BTreeMap<u32, KnownCenter>`
 ///
@@ -107,6 +137,14 @@ impl SmallKnowledge {
         SmallKnowledge {
             entries: Vec::with_capacity(cap),
         }
+    }
+
+    /// The table of a distributed node's knowledge log: the log sorted by
+    /// center. The log never repeats a center.
+    fn from_log(mut entries: Vec<(u32, KnownCenter)>) -> Self {
+        entries.sort_unstable_by_key(|&(c, _)| c);
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        SmallKnowledge { entries }
     }
 
     /// Number of known centers.
@@ -302,20 +340,17 @@ fn capacity(deg: usize, is_center: bool) -> usize {
     }
 }
 
-/// Shared acceptance rule: process one round's candidate arrivals
-/// (already sorted ascending by `(center, sender)`). Returns whether any
-/// candidate was accepted — all acceptances of one call share `dist`, which
-/// is what lets the distributed protocol maintain its distance bitmask
-/// incrementally.
+/// The acceptance rule, literally: process one round's candidate arrivals
+/// (already sorted ascending by `(center, sender)`) against a sorted table.
+/// [`Algo1Protocol::accept`] is the distributed node's equivalent.
 fn accept_round(
     self_id: u32,
     knowledge: &mut Knowledge,
     cap: usize,
     dist: u32,
     candidates: &[(u32, u32)],
-) -> bool {
-    let before = knowledge.len();
-    if before == 0 {
+) {
+    if knowledge.is_empty() {
         // Size a fresh table to this round's intake: a table filled in a
         // single round (every table of a δ = 1 phase) then carries no
         // growth slack for the harvest to shrink.
@@ -339,7 +374,6 @@ fn accept_round(
             },
         );
     }
-    knowledge.len() > before
 }
 
 /// Centralized reference implementation of Algorithm 1.
@@ -436,45 +470,48 @@ fn collect_popular(knowledge: &[Knowledge], is_center: &[bool], deg: usize) -> V
 }
 
 /// Per-node state of the distributed Algorithm 1 protocol.
+///
+/// The node's knowledge is an append-only log of accepted
+/// `(center, entry)` pairs in nondecreasing distance order, at most
+/// `deg + 1` long (see the module docs); [`into_knowledge`] sorts it into
+/// the [`SmallKnowledge`] table the later stages read.
+///
+/// [`into_knowledge`]: Algo1Protocol::into_knowledge
 #[derive(Debug, Clone)]
 pub struct Algo1Protocol {
     is_center: bool,
     deg: usize,
     delta: u64,
-    knowledge: Knowledge,
-    /// Forward list of the current send phase.
-    forwards: Vec<u32>,
-    /// Which send phase `forwards` was computed for. A node that slept
-    /// through a phase start and is woken mid-phase by an arrival must not
-    /// replay the previous phase's list.
-    forwards_phase: u64,
+    /// Accepted `(center, entry)` pairs in acceptance order. Each
+    /// acceptance round appends entries of one distance, never below the
+    /// previous round's, so distances never decrease along the log;
+    /// centers never repeat.
+    log: Vec<(u32, KnownCenter)>,
+    /// Log index of the current send phase's forward run, set at the phase
+    /// start. Only entries of the phase's distance are forwarded from it,
+    /// so a node woken mid-phase after sleeping through the phase start
+    /// (which it cannot do while holding entries of that distance) replays
+    /// nothing from an earlier phase.
+    fwd_start: usize,
     /// Global round at which this protocol's schedule starts.
     start_round: u64,
     /// Whether this node may still act spontaneously *in the current send
-    /// phase* (its forward list has unsent entries). Recomputed at the end
+    /// phase* (its forward run has unsent entries). Recomputed at the end
     /// of every visit; see [`Algo1Protocol::is_idle`].
     pending: bool,
     /// Global round of the next phase start this node must attend (the
-    /// phase forwarding its earliest future-distance knowledge entry), if
-    /// any — surfaced through [`NodeProgram::next_wake`] so the node can go
-    /// idle between phases instead of being visited every round.
+    /// phase forwarding its last log entry, if that lies beyond the
+    /// current phase) — surfaced through [`NodeProgram::next_wake`] so the
+    /// node can go idle between phases instead of being visited every
+    /// round.
     wake_at: Option<u64>,
-    /// Bit `d` is set iff `knowledge` holds an entry at distance `d` (for
-    /// `d < 64`; larger distances saturate at bit 63 and are never read —
-    /// see [`Algo1Protocol::min_future_dist`]). Knowledge entries are only
-    /// ever *added*, and every acceptance round adds entries of a single
-    /// distance, so this mask is exact and maintained in O(1) — it turns
-    /// the per-visit "earliest future phase" query from a table scan into
-    /// two bit operations.
-    dist_mask: u64,
 }
 
 thread_local! {
-    /// Scratch for one visit's `(center, sender)` candidate arrivals. A
-    /// node needs it only during its own visit, so one buffer per executing
-    /// thread (the caller's, or a pool lane's) replaces one per vertex: no
-    /// per-node allocation while the protocol runs, and none to free when
-    /// its knowledge is harvested.
+    /// Scratch for the `(center, sender)` candidates of a visit whose new
+    /// centers overflow the log's free capacity. A node needs it only
+    /// during its own visit, so one buffer per executing thread (the
+    /// caller's, or a pool lane's) replaces one per vertex.
     static CANDIDATES: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -490,15 +527,13 @@ impl Algo1Protocol {
             is_center,
             deg,
             delta,
-            knowledge: Knowledge::new(),
-            forwards: Vec::new(),
-            forwards_phase: 0,
+            log: Vec::new(),
+            fwd_start: 0,
             start_round,
             // Only a center has a spontaneous first act (its round-0
             // broadcast); a non-center's first round is a no-op.
             pending: is_center,
             wake_at: None,
-            dist_mask: 0,
         }
     }
 
@@ -510,38 +545,72 @@ impl Algo1Protocol {
     /// Whether this center is popular (`≥ deg` known others). Meaningful
     /// after the schedule completes.
     pub fn popular(&self) -> bool {
-        self.is_center && self.knowledge.len() >= self.deg
+        self.is_center && self.log.len() >= self.deg
     }
 
-    /// The knowledge accumulated (meaningful after the full schedule).
-    pub fn knowledge(&self) -> &Knowledge {
-        &self.knowledge
+    /// The knowledge accumulated, as a table sorted by center (meaningful
+    /// after the full schedule).
+    pub fn knowledge(&self) -> Knowledge {
+        Knowledge::from_log(self.log.clone())
     }
 
     /// Consumes the program, returning its knowledge table.
     pub fn into_knowledge(self) -> Knowledge {
-        self.knowledge
+        Knowledge::from_log(self.log)
     }
 
-    /// The smallest knowledge-entry distance strictly between `p` and δ —
-    /// the earliest future send phase this node must attend. O(1) via the
-    /// distance bitmask when `δ < 64` (every stored distance is then `≤ δ
-    /// ≤ 63`, so the mask is exact); falls back to a table scan for larger
-    /// δ, where the saturated top bit can no longer distinguish distances.
-    /// Callers guarantee `p < δ`.
-    fn min_future_dist(&self, p: u64) -> Option<u64> {
-        if self.delta < 64 {
-            // p < δ ≤ 63 ⇒ both shifts are in range.
-            let m = self.dist_mask & ((1u64 << self.delta) - 1) & !((1u64 << (p + 1)) - 1);
-            (m != 0).then(|| u64::from(m.trailing_zeros()))
-        } else {
-            self.knowledge
-                .values()
-                .filter_map(|e| {
-                    let d = u64::from(e.dist);
-                    (d > p && d < self.delta).then_some(d)
-                })
-                .min()
+    /// Accepts this round's arrivals at distance `dist` into a log with
+    /// free capacity: [`accept_round`]'s rule on the log (see the module
+    /// docs). The inbox is sender-ascending, so the first copy of a new
+    /// center carries its smallest sender.
+    fn accept(&mut self, ctx: &RoundCtx<'_>, dist: u32, cap: usize) {
+        let self_id = ctx.id() as u32;
+        let base = self.log.len();
+        if base == 0 {
+            // Size a fresh log to this round's intake: a log filled in a
+            // single round (every log of a δ = 1 phase) then carries no
+            // growth slack for the harvest to shrink.
+            self.log.reserve_exact(ctx.inbox().len().min(cap));
+        }
+        let mut arrivals = ctx.inbox().iter().map(|inc| {
+            (
+                inc.msg.word(0) as u32,
+                ctx.neighbor(inc.from_port as usize) as u32,
+            )
+        });
+        while let Some((c, sender)) = arrivals.next() {
+            if c == self_id || self.log.iter().any(|&(k, _)| k == c) {
+                continue;
+            }
+            if self.log.len() < cap {
+                self.log.push((
+                    c,
+                    KnownCenter {
+                        dist,
+                        parent: sender,
+                    },
+                ));
+                continue;
+            }
+            // Overflow: this round's new centers, with every copy of them,
+            // compete by `(center, sender)` for the `cap − base` free slots.
+            CANDIDATES.with_borrow_mut(|cands| {
+                cands.clear();
+                cands.extend(self.log.drain(base..).map(|(c, e)| (c, e.parent)));
+                cands.push((c, sender));
+                let known = &self.log[..base];
+                cands.extend(
+                    arrivals.filter(|&(c, _)| c != self_id && !known.iter().any(|&(k, _)| k == c)),
+                );
+                cands.sort_unstable();
+                cands.dedup_by_key(|&mut (c, _)| c);
+                self.log.extend(
+                    cands[..cap - base]
+                        .iter()
+                        .map(|&(c, parent)| (c, KnownCenter { dist, parent })),
+                );
+            });
+            return;
         }
     }
 
@@ -569,8 +638,10 @@ impl NodeProgram for Algo1Protocol {
         // instead of dividing twice. `send_phase` is exercised directly by
         // unit tests; this derivation must stay consistent with it.
         let (p_now, k_now) = self.send_phase(r);
-        // 1. Accept this round's arrivals (sent in round r−1).
-        if r >= 1 && !ctx.inbox().is_empty() {
+        // 1. Accept this round's arrivals (sent in round r−1); a full log
+        //    accepts nothing.
+        let cap = capacity(self.deg, self.is_center);
+        if r >= 1 && self.log.len() < cap && !ctx.inbox().is_empty() {
             let p = if r == 1 {
                 0 // send_phase(0) == (0, 0)
             } else if k_now == 0 {
@@ -578,34 +649,15 @@ impl NodeProgram for Algo1Protocol {
             } else {
                 p_now // same phase, one slot earlier
             };
-            let dist = p as u32 + 1;
-            let accepted = CANDIDATES.with_borrow_mut(|cands| {
-                cands.clear();
-                cands.extend(ctx.inbox().iter().map(|inc| {
-                    (
-                        inc.msg.word(0) as u32,
-                        ctx.neighbor(inc.from_port as usize) as u32,
-                    )
-                }));
-                cands.sort_unstable();
-                accept_round(
-                    ctx.id() as u32,
-                    &mut self.knowledge,
-                    capacity(self.deg, self.is_center),
-                    dist,
-                    cands,
-                )
-            });
-            if accepted {
-                self.dist_mask |= 1u64 << dist.min(63);
-            }
+            self.accept(ctx, p as u32 + 1, cap);
         }
         // 2. Send according to the schedule.
         if r == 0 {
             if self.is_center {
-                // Receivers sort candidates and skip duplicates without
-                // consuming capacity, so collapsing same-center copies to
-                // the smallest sender (`Merge::Dedup`) is unobservable.
+                // Receivers skip duplicates without consuming capacity and
+                // keep the smallest sender of a center, so collapsing
+                // same-center copies to the smallest sender (`Merge::Dedup`)
+                // is unobservable.
                 ctx.send_all(Msg::one(ctx.id() as u64).merged(Merge::Dedup));
             }
             // Knowledge is still empty: nothing is scheduled until a message
@@ -621,41 +673,43 @@ impl NodeProgram for Algo1Protocol {
             return; // drain round(s): accept only
         }
         if k == 0 {
-            // Phase start: all distance-p entries have arrived by now.
-            // Rebuilt in place — a fresh `collect` here costs an
-            // alloc/free per node per phase.
-            self.forwards.clear();
-            self.forwards.extend(
-                self.knowledge
-                    .iter()
-                    .filter(|(_, e)| u64::from(e.dist) == p)
-                    .map(|(&c, _)| c)
-                    .take(self.deg + 1),
-            );
-            self.forwards_phase = p;
-        } else if self.forwards_phase != p {
-            // Woken mid-phase by an arrival after sleeping through the phase
-            // start. Any distance-p entry would have set `pending` when it
-            // was accepted (phase p−1) or arrived at the phase-start round
-            // (which visits the node), so this node's phase-p forward list
-            // is provably empty — the stale one must not be replayed.
-            self.forwards.clear();
-            self.forwards_phase = p;
+            // Phase start: every distance-p entry has arrived, and they are
+            // the log's tail run. Sorting the run by center makes it the
+            // forward list, smallest ids first.
+            let run = self
+                .log
+                .iter()
+                .rev()
+                .take_while(|(_, e)| u64::from(e.dist) == p)
+                .count();
+            self.fwd_start = self.log.len() - run;
+            self.log[self.fwd_start..].sort_unstable_by_key(|&(c, _)| c);
         }
-        if let Some(&c) = self.forwards.get(k as usize) {
+        let forward = |i: u64| {
+            self.log
+                .get(self.fwd_start + i as usize)
+                .filter(|(_, e)| u64::from(e.dist) == p)
+                .map(|&(c, _)| c)
+        };
+        if let Some(c) = forward(k) {
             ctx.send_all(Msg::one(c as u64).merged(Merge::Dedup));
         }
-        // Spontaneous work remains this phase iff the forward list has
-        // unsent entries. Knowledge entries due in a *later* send phase
-        // (phase d forwards distance-d entries; phases ≥ δ never run) set a
-        // timed wake-up for that phase's start round instead of keeping the
-        // node non-idle through every intervening round. Any entry accepted
-        // after this visit arrives by message, and arrivals re-visit the
-        // node (recomputing the appointment) regardless of `is_idle`.
-        self.pending = self.forwards.len() as u64 > k + 1;
+        // Spontaneous work remains this phase iff the forward run has
+        // unsent entries. An entry due in a *later* send phase (phase d
+        // forwards distance-d entries; phases ≥ δ never run) can only have
+        // distance p+1 — it arrived during this phase — and is the log's
+        // last entry; it sets a timed wake-up for that phase's start round
+        // instead of keeping the node non-idle through every intervening
+        // round. Any entry accepted after this visit arrives by message,
+        // and arrivals re-visit the node (recomputing the appointment)
+        // regardless of `is_idle`.
+        self.pending = forward(k + 1).is_some();
         let width = self.deg as u64 + 1;
         self.wake_at = self
-            .min_future_dist(p)
+            .log
+            .last()
+            .map(|(_, e)| u64::from(e.dist))
+            .filter(|&d| d > p && d < self.delta)
             .map(|d| self.start_round + 1 + (d - 1) * width);
     }
 
@@ -672,10 +726,10 @@ impl NodeProgram for Algo1Protocol {
     }
 
     /// The start round of the next send phase this node must attend: the
-    /// phase forwarding its earliest knowledge entry with distance beyond
-    /// the current phase (and below δ). Entries at intermediate distances
-    /// cannot appear without a message arrival, which re-visits the node
-    /// and moves the appointment earlier.
+    /// phase forwarding its last log entry, when that entry's distance lies
+    /// beyond the current phase (and below δ). Entries at intermediate
+    /// distances cannot appear without a message arrival, which re-visits
+    /// the node and moves the appointment earlier.
     fn next_wake(&self) -> Option<u64> {
         self.wake_at
     }
@@ -861,18 +915,25 @@ mod tests {
 
     #[test]
     fn distributed_matches_centralized_sparse_centers() {
-        let g = generators::connected_gnp(70, 0.05, 23);
+        let check = |g: &Graph, is_center: &[bool], deg: usize, delta: u64| {
+            let a = algo1_centralized(g, is_center, deg, delta);
+            let (b, _) = algo1_distributed(
+                g,
+                is_center,
+                deg,
+                delta,
+                &mut SimArena::new(),
+                &mut RunHooks::none(),
+            );
+            assert_eq!(a, b, "mismatch at deg={deg}, delta={delta}");
+            b
+        };
         let is_center: Vec<bool> = (0..70).map(|v| v % 3 == 0).collect();
-        let a = algo1_centralized(&g, &is_center, 4, 5);
-        let (b, _) = algo1_distributed(
-            &g,
-            &is_center,
-            4,
-            5,
-            &mut SimArena::new(),
-            &mut RunHooks::none(),
-        );
-        assert_eq!(a, b);
+        check(&generators::connected_gnp(70, 0.05, 23), &is_center, 4, 5);
+        // δ well past 64: the regime of deep phases on large grids.
+        let is_center: Vec<bool> = (0..200).map(|v| [0, 67, 134, 199].contains(&v)).collect();
+        let info = check(&generators::path(200), &is_center, 8, 150);
+        assert_eq!(info.knowledge[199][&67].dist, 132);
     }
 
     #[test]
