@@ -118,13 +118,9 @@ impl BenchCli {
             .unwrap_or_else(nas_par::default_threads)
     }
 
-    /// `--weights SPEC`: the edge-weight distribution for weighted legs,
-    /// or `None` when the switch is absent. Accepted specs (matching
-    /// [`WeightDist`]'s `Display`):
-    ///
-    /// * `unit` — every edge weight 1 (hop distances);
-    /// * `uniform:C` — every edge weight `C`;
-    /// * `range:LO:HI` — seeded uniform integers in `[LO, HI]`.
+    /// `--weights SPEC`: the edge-weight distribution for weighted legs
+    /// (`unit`, `uniform:C` or `range:LO:HI`, see [`WeightDist::parse`]),
+    /// or `None` when the switch is absent.
     ///
     /// # Panics
     ///
@@ -132,7 +128,7 @@ impl BenchCli {
     /// operator-facing binaries, not a library surface.
     pub fn weight_dist(&self) -> Option<WeightDist> {
         self.opt_str("--weights").map(|spec| {
-            parse_weight_spec(&spec).unwrap_or_else(|| {
+            WeightDist::parse(&spec).unwrap_or_else(|| {
                 panic!("--weights expects unit, uniform:C, or range:LO:HI, got {spec:?}")
             })
         })
@@ -156,26 +152,6 @@ impl BenchCli {
     }
 }
 
-/// Parses a `--weights`-style spec (`unit`, `uniform:C`, `range:LO:HI`);
-/// `None` on malformed input. Public because non-CLI surfaces accept the
-/// same dialect (e.g. `nas-serve`'s `POST /rebuild` body), where malformed
-/// input must be a structured error rather than the panic
-/// [`BenchCli::weight_dist`] reserves for operator typos.
-pub fn parse_weight_spec(spec: &str) -> Option<WeightDist> {
-    if spec == "unit" {
-        return Some(WeightDist::unit());
-    }
-    let mut parts = spec.split(':');
-    match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some("uniform"), Some(c), None, None) => Some(WeightDist::Constant(c.parse().ok()?)),
-        (Some("range"), Some(lo), Some(hi), None) => {
-            let (lo, hi) = (lo.parse().ok()?, hi.parse().ok()?);
-            (lo <= hi).then_some(WeightDist::Uniform { lo, hi })
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,16 +166,6 @@ mod tests {
             Some(WeightDist::Uniform { lo: 1, hi: 100 })
         );
         assert_eq!(BenchCli::from_args(["--smoke"]).weight_dist(), None);
-        // Round trip through Display.
-        for d in [
-            WeightDist::Constant(3),
-            WeightDist::Uniform { lo: 2, hi: 9 },
-        ] {
-            assert_eq!(parse_weight_spec(&d.to_string()), Some(d));
-        }
-        // The public non-panicking surface rejects malformed specs softly.
-        assert_eq!(parse_weight_spec("range:9:1"), None);
-        assert_eq!(parse_weight_spec("gaussian:3"), None);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Shared experiment harness for the table/figure regeneration binaries and
-//! the criterion benches.
+//! Shared experiment harness for the table/figure regeneration binaries.
 //!
 //! Every table and figure of the paper maps to one binary in `src/bin/`,
 //! whose module docs open with its experiment id (`E-T1` for Table 1,
-//! `E-F3` for Figure 3, …); the heavy lifting lives here so the criterion
-//! benches can reuse it at reduced sizes.
+//! `E-F3` for Figure 3, …); the workloads, parameter points and runners
+//! they share live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -76,7 +76,8 @@ pub enum CompactError {
     ArcCountMismatch {
         /// Arcs actually present in the stream.
         got: u64,
-        /// Arcs implied by the declared edge count (`2m`).
+        /// Arcs implied by the declared edge count (`2m`, or `u64::MAX`
+        /// when that overflows).
         want: u64,
     },
     /// Declared maximum degree disagrees with the decoded blocks.
@@ -449,10 +450,11 @@ impl CompactGraph {
                 extra: data.len() - pos,
             });
         }
-        if arcs != 2 * m as u64 {
+        let want = (m as u64).checked_mul(2);
+        if want != Some(arcs) {
             return Err(CompactError::ArcCountMismatch {
                 got: arcs,
-                want: 2 * m as u64,
+                want: want.unwrap_or(u64::MAX),
             });
         }
         if max_deg != max_degree {

@@ -2,16 +2,14 @@
 //!
 //! Five formats are supported:
 //!
-//! * **edge list** — one `u v` pair per line, `#`-comments allowed; the
-//!   vertex count is `max id + 1` unless a `p <n>` header line is present;
+//! * **edge list** — one `u v` pair per line (0-based ids);
+//! * **weighted edge list** — one `u v w` triple per line (0-based ids);
 //! * **DIMACS-like** — `p <n> <m>` header followed by `e u v` lines
 //!   (1-based ids, as customary for DIMACS);
-//! * **weighted edge list** — one `u v w` triple per line, same comment
-//!   and `p <n>` header rules;
 //! * **DIMACS shortest-path** — `p sp <n> <m>` header followed by
 //!   `a u v w` arc lines (1-based ids), the format of the DIMACS
 //!   shortest-path challenge road graphs. Each undirected edge may appear
-//!   as one arc or both; parallel arcs collapse to the lightest weight.
+//!   as one arc or both;
 //! * **compact binary** — a [`CompactGraph`] serialized verbatim
 //!   ([`write_compact`] / [`read_compact`]): a fixed header followed by
 //!   the delta/varint block stream and the sampled offset index. The
@@ -19,15 +17,27 @@
 //!   and the on-disk size equals the in-memory compact footprint.
 //!
 //! These cover the common ways real-world benchmark graphs are shipped, so
-//! the experiment binaries can run on external inputs too.
+//! the experiment binaries can run on external inputs too. In both weighted
+//! formats parallel edges collapse to the lightest weight.
 //!
-//! # Streaming
+//! # One streaming reader
 //!
-//! Every text reader works line-by-line through one reused buffer — no
-//! reader materializes the input, and with a header present edges flow
-//! straight into the graph builder, so peak memory is the builder's edge
-//! buffer, never the file. Malformed lines and out-of-range endpoints are
-//! reported with their 1-based line number the moment they are read.
+//! The four text formats are two grammars, each with or without a weight
+//! field, and one reader parses them line by line through one reused
+//! buffer:
+//!
+//! * **edge list** — `#` comments; an optional `p <n>` header anywhere,
+//!   and `n = max id + 1` without one;
+//! * **DIMACS** — `c` and `#` comments; the `p` header comes first, and
+//!   `n` is the first number after `p`.
+//!
+//! With a header, edges flow straight into the graph builder; edge-list
+//! lines before one are buffered as `u32` triples until `n` is known, so
+//! peak memory is the builder's edge buffer, never the file. Errors carry
+//! their 1-based line number. A second header, a header beyond the `u32`
+//! id range, and an id before any header that puts `max id + 1` beyond it
+//! are [`ParseGraphError::BadLine`]; an id outside a declared header is
+//! [`ParseGraphError::VertexOutOfRange`], as the line wrote it.
 
 use crate::builder::GraphBuilder;
 use crate::compact::{CompactError, CompactGraph};
@@ -101,23 +111,159 @@ impl From<CompactError> for ParseGraphError {
     }
 }
 
-/// Drives `f` over the trimmed content of every line, reusing one `String`
-/// buffer for the whole stream — the allocation-per-line of
-/// `BufRead::lines` is what kept the old readers from scaling.
-fn for_each_line<R: BufRead>(
-    mut reader: R,
-    mut f: impl FnMut(usize, &str) -> Result<(), ParseGraphError>,
-) -> Result<(), ParseGraphError> {
+/// The line grammar of a text format (see the module docs). A DIMACS
+/// grammar names its edge-line tag, and what such a line is for errors.
+#[derive(Clone, Copy)]
+enum Grammar {
+    EdgeList,
+    Dimacs {
+        tag: &'static str,
+        what: &'static str,
+    },
+}
+
+/// A graph builder the text reader fills.
+trait TextBuilder {
+    /// The graph it builds.
+    type Graph;
+    /// Whether every edge line carries a weight field.
+    const WEIGHTED: bool;
+    /// A builder for `n` vertices with room for `m` edges.
+    fn sized(n: usize, m: usize) -> Self;
+    /// Adds a range-checked edge (`w` is 0 when unweighted).
+    fn add(&mut self, u: u32, v: u32, w: u32);
+    /// Builds the graph.
+    fn finish(&self) -> Self::Graph;
+}
+
+impl TextBuilder for GraphBuilder {
+    type Graph = Graph;
+    const WEIGHTED: bool = false;
+    fn sized(n: usize, m: usize) -> Self {
+        GraphBuilder::with_capacity(n, m)
+    }
+    fn add(&mut self, u: u32, v: u32, _: u32) {
+        self.add_edge(u as usize, v as usize);
+    }
+    fn finish(&self) -> Graph {
+        self.build()
+    }
+}
+
+impl TextBuilder for WeightedGraphBuilder {
+    type Graph = WeightedGraph;
+    const WEIGHTED: bool = true;
+    fn sized(n: usize, m: usize) -> Self {
+        WeightedGraphBuilder::with_capacity(n, m)
+    }
+    fn add(&mut self, u: u32, v: u32, w: u32) {
+        self.add_edge(u as usize, v as usize, w);
+    }
+    fn finish(&self) -> WeightedGraph {
+        self.build()
+    }
+}
+
+/// Parses a text graph in `grammar` into `B`'s graph (see the module docs).
+fn read_text<B: TextBuilder>(
+    mut reader: impl BufRead,
+    grammar: Grammar,
+) -> Result<B::Graph, ParseGraphError> {
+    let (comment, base) = match grammar {
+        Grammar::EdgeList => ('#', 0),
+        Grammar::Dimacs { .. } => ('c', 1),
+    };
+    // The 0-based id of `x`, as `line` wrote it, under a header for `n`.
+    let in_range = |x: usize, n: usize, line: usize| match x - base {
+        id if id < n => Ok(id as u32),
+        _ => Err(ParseGraphError::VertexOutOfRange { line, vertex: x, n }),
+    };
+    // A builder for `n` holding the edges read before the header on `line`
+    // (only an edge list has any).
+    let flush = |pending: Vec<(u32, u32, u32)>, n: usize, line: usize| {
+        let mut b = B::sized(n, pending.len());
+        for (u, v, w) in pending {
+            b.add(
+                in_range(u as usize, n, line)?,
+                in_range(v as usize, n, line)?,
+                w,
+            );
+        }
+        Ok::<B, ParseGraphError>(b)
+    };
+    let mut pending = Vec::new();
+    let mut header: Option<(usize, B)> = None;
+    // One buffer for the whole stream: the allocation per line of
+    // `BufRead::lines` is what kept the old readers from scaling.
     let mut buf = String::new();
-    let mut lineno = 0usize;
+    let mut line = 0usize;
     loop {
         buf.clear();
         if reader.read_line(&mut buf)? == 0 {
-            return Ok(());
+            break;
         }
-        lineno += 1;
-        f(lineno, buf.trim())?;
+        line += 1;
+        let t = buf.trim();
+        if t.is_empty() || t.starts_with(['#', comment]) {
+            continue;
+        }
+        let bad = || ParseGraphError::BadLine {
+            line,
+            content: t.to_string(),
+        };
+        let mut fields = t.split_whitespace();
+        let head = fields.next();
+        if head == Some("p") {
+            let n = match grammar {
+                Grammar::EdgeList => fields.next().and_then(|s| s.parse::<usize>().ok()),
+                Grammar::Dimacs { .. } => fields.find_map(|s| s.parse::<usize>().ok()),
+            }
+            .filter(|&n| n <= u32::MAX as usize && header.is_none())
+            .ok_or_else(bad)?;
+            header = Some((n, flush(std::mem::take(&mut pending), n, line)?));
+            continue;
+        }
+        let u = match grammar {
+            Grammar::EdgeList => head,
+            Grammar::Dimacs { tag, .. } if head != Some(tag) => return Err(bad()),
+            Grammar::Dimacs { what, .. } if header.is_none() => {
+                return Err(ParseGraphError::BadLine {
+                    line,
+                    content: format!("{what} before p header"),
+                })
+            }
+            Grammar::Dimacs { .. } => fields.next(),
+        };
+        let id = |s: Option<&str>| s?.parse::<usize>().ok().filter(|&x| x >= base);
+        let (u, v) = (id(u), id(fields.next()));
+        let w = if B::WEIGHTED {
+            fields.next().and_then(|s| s.parse::<u32>().ok())
+        } else {
+            Some(0)
+        };
+        let (Some(u), Some(v), Some(w)) = (u, v, w) else {
+            return Err(bad());
+        };
+        match &mut header {
+            Some((n, b)) => b.add(in_range(u, *n, line)?, in_range(v, *n, line)?, w),
+            // Buffered until `n = max id + 1` is known, which must fit u32.
+            None => {
+                let fit = |x: usize| u32::try_from(x).ok().filter(|&x| x < u32::MAX);
+                let (Some(u), Some(v)) = (fit(u), fit(v)) else {
+                    return Err(bad());
+                };
+                pending.push((u, v, w));
+            }
+        }
     }
+    let b = match header {
+        Some((_, b)) => b,
+        None => {
+            let n = pending.iter().map(|&(u, v, _)| u.max(v) as usize + 1).max();
+            flush(pending, n.unwrap_or(0), line)?
+        }
+    };
+    Ok(b.finish())
 }
 
 /// Parses an edge-list graph (0-based ids).
@@ -129,87 +275,7 @@ fn for_each_line<R: BufRead>(
 ///
 /// Returns [`ParseGraphError`] on I/O failures or malformed content.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseGraphError> {
-    // With a header the edges stream straight into the builder (range
-    // checked as they arrive); without one they buffer in `pending` until
-    // end of stream pins `n = max id + 1`.
-    let mut pending: Vec<(usize, usize)> = Vec::new();
-    let mut streaming: Option<(usize, GraphBuilder)> = None;
-    for_each_line(reader, |lineno, t| {
-        if t.is_empty() || t.starts_with('#') {
-            return Ok(());
-        }
-        let mut parts = t.split_whitespace();
-        match parts.next() {
-            Some("p") => {
-                let n = parts
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|_| streaming.is_none())
-                    .ok_or_else(|| ParseGraphError::BadLine {
-                        line: lineno,
-                        content: t.to_string(),
-                    })?;
-                let mut b = GraphBuilder::with_capacity(n, pending.len());
-                for &(u, v) in &pending {
-                    for &x in &[u, v] {
-                        if x >= n {
-                            return Err(ParseGraphError::VertexOutOfRange {
-                                line: lineno,
-                                vertex: x,
-                                n,
-                            });
-                        }
-                    }
-                    b.add_edge(u, v);
-                }
-                pending = Vec::new();
-                streaming = Some((n, b));
-            }
-            Some(a) => {
-                let u = a.parse::<usize>().ok();
-                let v = parts.next().and_then(|s| s.parse::<usize>().ok());
-                let (u, v) = match (u, v) {
-                    (Some(u), Some(v)) => (u, v),
-                    _ => {
-                        return Err(ParseGraphError::BadLine {
-                            line: lineno,
-                            content: t.to_string(),
-                        })
-                    }
-                };
-                match &mut streaming {
-                    Some((n, b)) => {
-                        for &x in &[u, v] {
-                            if x >= *n {
-                                return Err(ParseGraphError::VertexOutOfRange {
-                                    line: lineno,
-                                    vertex: x,
-                                    n: *n,
-                                });
-                            }
-                        }
-                        b.add_edge(u, v);
-                    }
-                    None => pending.push((u, v)),
-                }
-            }
-            None => unreachable!("split of non-empty trimmed line"),
-        }
-        Ok(())
-    })?;
-    if let Some((_, b)) = streaming {
-        return Ok(b.build());
-    }
-    let n = pending
-        .iter()
-        .map(|&(u, v)| u.max(v) + 1)
-        .max()
-        .unwrap_or(0);
-    let mut b = GraphBuilder::with_capacity(n, pending.len());
-    for (u, v) in pending {
-        b.add_edge(u, v);
-    }
-    Ok(b.build())
+    read_text::<GraphBuilder>(reader, Grammar::EdgeList)
 }
 
 /// Writes a graph as an edge list with a `p <n>` header.
@@ -231,69 +297,13 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
 ///
 /// Returns [`ParseGraphError`] on I/O failures or malformed content.
 pub fn read_dimacs<R: BufRead>(reader: R) -> Result<Graph, ParseGraphError> {
-    let mut n: Option<usize> = None;
-    let mut builder: Option<GraphBuilder> = None;
-    for_each_line(reader, |lineno, t| {
-        if t.is_empty() || t.starts_with('c') || t.starts_with('#') {
-            return Ok(());
-        }
-        let mut parts = t.split_whitespace();
-        match parts.next() {
-            Some("p") => {
-                // Accept both "p edge n m" and "p n m".
-                let rest: Vec<&str> = parts.collect();
-                let nums: Vec<usize> = rest
-                    .iter()
-                    .filter_map(|s| s.parse::<usize>().ok())
-                    .collect();
-                let nn = *nums.first().ok_or_else(|| ParseGraphError::BadLine {
-                    line: lineno,
-                    content: t.to_string(),
-                })?;
-                n = Some(nn);
-                builder = Some(GraphBuilder::new(nn));
-            }
-            Some("e") => {
-                let b = builder.as_mut().ok_or_else(|| ParseGraphError::BadLine {
-                    line: lineno,
-                    content: "edge before p header".to_string(),
-                })?;
-                let u = parts.next().and_then(|s| s.parse::<usize>().ok());
-                let v = parts.next().and_then(|s| s.parse::<usize>().ok());
-                match (u, v) {
-                    (Some(u), Some(v)) if u >= 1 && v >= 1 => {
-                        let nn = n.expect("header parsed");
-                        for &x in &[u, v] {
-                            if x > nn {
-                                return Err(ParseGraphError::VertexOutOfRange {
-                                    line: lineno,
-                                    vertex: x,
-                                    n: nn,
-                                });
-                            }
-                        }
-                        b.add_edge(u - 1, v - 1);
-                    }
-                    _ => {
-                        return Err(ParseGraphError::BadLine {
-                            line: lineno,
-                            content: t.to_string(),
-                        })
-                    }
-                }
-            }
-            _ => {
-                return Err(ParseGraphError::BadLine {
-                    line: lineno,
-                    content: t.to_string(),
-                })
-            }
-        }
-        Ok(())
-    })?;
-    Ok(builder
-        .map(|b| b.build())
-        .unwrap_or_else(|| GraphBuilder::new(0).build()))
+    read_text::<GraphBuilder>(
+        reader,
+        Grammar::Dimacs {
+            tag: "e",
+            what: "edge",
+        },
+    )
 }
 
 /// Writes a graph in DIMACS format (`p edge n m`, 1-based `e` lines).
@@ -319,87 +329,7 @@ pub fn write_dimacs<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
 ///
 /// Returns [`ParseGraphError`] on I/O failures or malformed content.
 pub fn read_weighted_edge_list<R: BufRead>(reader: R) -> Result<WeightedGraph, ParseGraphError> {
-    // Mirrors `read_edge_list`: header → stream into the builder,
-    // headerless → buffer triples until `n` is known.
-    let mut pending: Vec<(usize, usize, u32)> = Vec::new();
-    let mut streaming: Option<(usize, WeightedGraphBuilder)> = None;
-    for_each_line(reader, |lineno, t| {
-        if t.is_empty() || t.starts_with('#') {
-            return Ok(());
-        }
-        let mut parts = t.split_whitespace();
-        match parts.next() {
-            Some("p") => {
-                let n = parts
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|_| streaming.is_none())
-                    .ok_or_else(|| ParseGraphError::BadLine {
-                        line: lineno,
-                        content: t.to_string(),
-                    })?;
-                let mut b = WeightedGraphBuilder::with_capacity(n, pending.len());
-                for &(u, v, w) in &pending {
-                    for &x in &[u, v] {
-                        if x >= n {
-                            return Err(ParseGraphError::VertexOutOfRange {
-                                line: lineno,
-                                vertex: x,
-                                n,
-                            });
-                        }
-                    }
-                    b.add_edge(u, v, w);
-                }
-                pending = Vec::new();
-                streaming = Some((n, b));
-            }
-            Some(a) => {
-                let u = a.parse::<usize>().ok();
-                let v = parts.next().and_then(|s| s.parse::<usize>().ok());
-                let w = parts.next().and_then(|s| s.parse::<u32>().ok());
-                let (u, v, w) = match (u, v, w) {
-                    (Some(u), Some(v), Some(w)) => (u, v, w),
-                    _ => {
-                        return Err(ParseGraphError::BadLine {
-                            line: lineno,
-                            content: t.to_string(),
-                        })
-                    }
-                };
-                match &mut streaming {
-                    Some((n, b)) => {
-                        for &x in &[u, v] {
-                            if x >= *n {
-                                return Err(ParseGraphError::VertexOutOfRange {
-                                    line: lineno,
-                                    vertex: x,
-                                    n: *n,
-                                });
-                            }
-                        }
-                        b.add_edge(u, v, w);
-                    }
-                    None => pending.push((u, v, w)),
-                }
-            }
-            None => unreachable!("split of non-empty trimmed line"),
-        }
-        Ok(())
-    })?;
-    if let Some((_, b)) = streaming {
-        return Ok(b.build());
-    }
-    let n = pending
-        .iter()
-        .map(|&(u, v, _)| u.max(v) + 1)
-        .max()
-        .unwrap_or(0);
-    let mut b = WeightedGraphBuilder::with_capacity(n, pending.len());
-    for (u, v, w) in pending {
-        b.add_edge(u, v, w);
-    }
-    Ok(b.build())
+    read_text::<WeightedGraphBuilder>(reader, Grammar::EdgeList)
 }
 
 /// Writes a weighted graph as a `u v w` edge list with a `p <n>` header.
@@ -422,70 +352,13 @@ pub fn write_weighted_edge_list<W: Write>(g: &WeightedGraph, mut w: W) -> std::i
 ///
 /// Returns [`ParseGraphError`] on I/O failures or malformed content.
 pub fn read_dimacs_sp<R: BufRead>(reader: R) -> Result<WeightedGraph, ParseGraphError> {
-    let mut n: Option<usize> = None;
-    let mut builder: Option<WeightedGraphBuilder> = None;
-    for_each_line(reader, |lineno, t| {
-        if t.is_empty() || t.starts_with('c') || t.starts_with('#') {
-            return Ok(());
-        }
-        let mut parts = t.split_whitespace();
-        match parts.next() {
-            Some("p") => {
-                // Accept "p sp n m" and "p n m".
-                let rest: Vec<&str> = parts.collect();
-                let nums: Vec<usize> = rest
-                    .iter()
-                    .filter_map(|s| s.parse::<usize>().ok())
-                    .collect();
-                let nn = *nums.first().ok_or_else(|| ParseGraphError::BadLine {
-                    line: lineno,
-                    content: t.to_string(),
-                })?;
-                n = Some(nn);
-                builder = Some(WeightedGraphBuilder::new(nn));
-            }
-            Some("a") => {
-                let b = builder.as_mut().ok_or_else(|| ParseGraphError::BadLine {
-                    line: lineno,
-                    content: "arc before p header".to_string(),
-                })?;
-                let u = parts.next().and_then(|s| s.parse::<usize>().ok());
-                let v = parts.next().and_then(|s| s.parse::<usize>().ok());
-                let w = parts.next().and_then(|s| s.parse::<u32>().ok());
-                match (u, v, w) {
-                    (Some(u), Some(v), Some(w)) if u >= 1 && v >= 1 => {
-                        let nn = n.expect("header parsed");
-                        for &x in &[u, v] {
-                            if x > nn {
-                                return Err(ParseGraphError::VertexOutOfRange {
-                                    line: lineno,
-                                    vertex: x,
-                                    n: nn,
-                                });
-                            }
-                        }
-                        b.add_edge(u - 1, v - 1, w);
-                    }
-                    _ => {
-                        return Err(ParseGraphError::BadLine {
-                            line: lineno,
-                            content: t.to_string(),
-                        })
-                    }
-                }
-            }
-            _ => {
-                return Err(ParseGraphError::BadLine {
-                    line: lineno,
-                    content: t.to_string(),
-                })
-            }
-        }
-        Ok(())
-    })?;
-    Ok(builder
-        .map(|b| b.build())
-        .unwrap_or_else(|| WeightedGraphBuilder::new(0).build()))
+    read_text::<WeightedGraphBuilder>(
+        reader,
+        Grammar::Dimacs {
+            tag: "a",
+            what: "arc",
+        },
+    )
 }
 
 /// Writes a weighted graph in DIMACS shortest-path format (`p sp n m`,
@@ -557,8 +430,8 @@ fn read_u64<R: Read>(r: &mut R) -> std::io::Result<u64> {
 ///
 /// # Errors
 ///
-/// [`ParseGraphError::BadHeader`] on a wrong magic/version,
-/// [`ParseGraphError::Corrupt`] when validation fails,
+/// [`ParseGraphError::BadHeader`] on a wrong magic/version or impossible
+/// lengths, [`ParseGraphError::Corrupt`] when validation fails,
 /// [`ParseGraphError::Io`] on I/O failures (including short payloads).
 pub fn read_compact<R: Read>(mut r: R) -> Result<CompactGraph, ParseGraphError> {
     let mut magic = [0u8; 5];
@@ -583,10 +456,11 @@ pub fn read_compact<R: Read>(mut r: R) -> Result<CompactGraph, ParseGraphError> 
     let sample_every = u32::from_le_bytes(se) as usize;
     let data_len = read_u64(&mut r)? as usize;
     let samples_len = read_u64(&mut r)? as usize;
-    // Bound the declared lengths before trusting them with an allocation:
-    // the sample count is determined by (n, interval), and no varint
-    // encoding of n degrees plus 2m deltas exceeds 10 bytes per value —
-    // the validator recomputes everything else.
+    // Bound the declared lengths: the sample count is determined by
+    // (n, interval), and no varint encoding of n degrees plus 2m deltas
+    // exceeds 10 bytes per value — the validator recomputes everything
+    // else. The bound still admits claims far beyond the stream, so the
+    // buffers grow with the bytes actually read, never with a claim.
     if sample_every == 0 {
         return Err(ParseGraphError::Corrupt(CompactError::BadSampleInterval));
     }
@@ -595,17 +469,28 @@ pub fn read_compact<R: Read>(mut r: R) -> Result<CompactGraph, ParseGraphError> 
             "sample count {samples_len} inconsistent with n = {n}, interval {sample_every}"
         )));
     }
-    if data_len > (n + 2 * m).saturating_mul(10) {
+    let max_data = m
+        .checked_mul(2)
+        .and_then(|arcs| arcs.checked_add(n))
+        .and_then(|values| values.checked_mul(10));
+    if max_data.is_none_or(|max| data_len > max) {
         return Err(ParseGraphError::BadHeader(format!(
             "data length {data_len} impossible for n = {n}, m = {m}"
         )));
     }
-    let mut data = vec![0u8; data_len];
-    r.read_exact(&mut data)?;
-    let mut samples = Vec::with_capacity(samples_len);
+    let mut data = Vec::new();
+    (&mut r).take(data_len as u64).read_to_end(&mut data)?;
+    if data.len() != data_len {
+        return Err(ParseGraphError::Io(
+            std::io::ErrorKind::UnexpectedEof.into(),
+        ));
+    }
+    data.shrink_to_fit();
+    let mut samples = Vec::new();
     for _ in 0..samples_len {
         samples.push(read_u64(&mut r)?);
     }
+    samples.shrink_to_fit();
     Ok(CompactGraph::from_parts(
         n,
         m,
@@ -656,10 +541,26 @@ mod tests {
 
     #[test]
     fn malformed_line_is_reported() {
-        let err = read_edge_list("0 x\n".as_bytes()).unwrap_err();
-        match err {
-            ParseGraphError::BadLine { line, .. } => assert_eq!(line, 1),
-            other => panic!("wrong error: {other}"),
+        type Read = fn(&str) -> Option<ParseGraphError>;
+        let edge_list: Read = |t| read_edge_list(t.as_bytes()).err();
+        let weighted: Read = |t| read_weighted_edge_list(t.as_bytes()).err();
+        let dimacs: Read = |t| read_dimacs(t.as_bytes()).err();
+        let dimacs_sp: Read = |t| read_dimacs_sp(t.as_bytes()).err();
+        // An id before any header that puts `n = max id + 1` past u32.
+        let mut cases = vec![
+            (edge_list, "0 1\n0 5000000000\n", 2),
+            (weighted, "0 1 1\n0 5000000000 1\n", 2),
+        ];
+        // Every reader: a malformed field, a header past the u32 id range.
+        for read in [edge_list, weighted, dimacs, dimacs_sp] {
+            cases.extend([(read, "0 x\n", 1), (read, "p 5000000000\n", 1)]);
+        }
+        for (read, text, line) in cases {
+            let err = read(text);
+            assert!(
+                matches!(err, Some(ParseGraphError::BadLine { line: l, .. }) if l == line),
+                "{text:?}: {err:?}"
+            );
         }
     }
 
@@ -687,6 +588,12 @@ mod tests {
     #[test]
     fn dimacs_rejects_edge_before_header() {
         assert!(read_dimacs("e 1 2\n".as_bytes()).is_err());
+        // A second header would drop the edges read under the first.
+        let err = read_dimacs("p edge 3 1\ne 1 2\np edge 5 1\ne 3 4\n".as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, ParseGraphError::BadLine { line: 3, .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -757,6 +664,11 @@ mod tests {
     #[test]
     fn dimacs_sp_rejects_arc_before_header() {
         assert!(read_dimacs_sp("a 1 2 3\n".as_bytes()).is_err());
+        let err = read_dimacs_sp("p sp 3 1\na 1 2 1\np sp 5 1\na 3 4 1\n".as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, ParseGraphError::BadLine { line: 3, .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -813,6 +725,30 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
         assert!(read_compact(&bad[..]).is_err());
+        // Bare headers whose claims must not be trusted: `n + 2m`
+        // overflows, or the declared 120 GiB payload passes the length
+        // bound but is absent from the stream.
+        let header = |n: u64, m: u64, sample_every: u32, data_len: u64, samples_len: u64| {
+            let mut h = b"NASC\x01".to_vec();
+            for x in [n, m, 0] {
+                h.extend(x.to_le_bytes());
+            }
+            h.extend(sample_every.to_le_bytes());
+            h.extend(data_len.to_le_bytes());
+            h.extend(samples_len.to_le_bytes());
+            h
+        };
+        let overflow = header(1, 1 << 63, 1, 0, 1);
+        assert!(matches!(
+            read_compact(&overflow[..]),
+            Err(ParseGraphError::BadHeader(_))
+        ));
+        let huge = header(1 << 32, 1 << 32, 1 << 31, 120 << 30, 2);
+        assert_eq!(huge.len(), 49);
+        assert!(matches!(
+            read_compact(&huge[..]),
+            Err(ParseGraphError::Io(_))
+        ));
     }
 
     #[test]

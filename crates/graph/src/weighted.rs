@@ -34,8 +34,8 @@ use std::fmt;
 /// A seedable edge-weight distribution.
 ///
 /// Used by [`WeightedGraph::from_graph`] and the weighted generator
-/// wrappers in [`crate::generators`]; parsed from `--weights` on the bench
-/// binaries.
+/// wrappers in [`crate::generators`]; [`WeightDist::parse`] reads one from
+/// a spec string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightDist {
     /// Every edge gets the same weight.
@@ -54,6 +54,27 @@ impl WeightDist {
     /// graph, under which weighted distances equal hop distances.
     pub fn unit() -> Self {
         WeightDist::Constant(1)
+    }
+
+    /// Parses a weight spec, the inverse of `Display`: `unit` (every edge
+    /// weight 1, so distances are hop counts), `uniform:C` (every edge
+    /// weight `C`) or `range:LO:HI` (seeded uniform integers in
+    /// `[LO, HI]`). `None` on a malformed spec, so each surface that takes
+    /// one (the bench `--weights` switch, `nas-serve`'s `POST /rebuild`
+    /// body) reports it its own way.
+    pub fn parse(spec: &str) -> Option<WeightDist> {
+        if spec == "unit" {
+            return Some(WeightDist::unit());
+        }
+        let mut parts = spec.split(':');
+        match (parts.next(), parts.next(), parts.next(), parts.next()) {
+            (Some("uniform"), Some(c), None, None) => Some(WeightDist::Constant(c.parse().ok()?)),
+            (Some("range"), Some(lo), Some(hi), None) => {
+                let (lo, hi) = (lo.parse().ok()?, hi.parse().ok()?);
+                (lo <= hi).then_some(WeightDist::Uniform { lo, hi })
+            }
+            _ => None,
+        }
     }
 
     /// Draws one weight.
@@ -641,5 +662,13 @@ mod tests {
             WeightDist::Uniform { lo: 1, hi: 9 }.to_string(),
             "range:1:9"
         );
+        for d in [
+            WeightDist::Constant(3),
+            WeightDist::Uniform { lo: 2, hi: 9 },
+        ] {
+            assert_eq!(WeightDist::parse(&d.to_string()), Some(d));
+        }
+        assert_eq!(WeightDist::parse("range:9:1"), None);
+        assert_eq!(WeightDist::parse("gaussian:3"), None);
     }
 }

@@ -6,6 +6,7 @@ use crate::http::{Request, Response};
 use crate::json::{escape, num, Json};
 use crate::store::{BuildSpec, Workload};
 use nas_core::Backend;
+use nas_graph::WeightDist;
 use nas_metrics::OracleStats;
 use std::sync::atomic::Ordering;
 
@@ -208,20 +209,22 @@ fn parse_spec_overrides(body: &[u8], mut base: BuildSpec) -> Result<BuildSpec, R
             }
             "eps" => base.params.eps = parse_f64(value, "eps")?,
             "rho" => base.params.rho = parse_f64(value, "rho")?,
-            "kappa" => base.params.kappa = parse_usize(value, "kappa")? as u32,
+            "kappa" => {
+                base.params.kappa = u32::try_from(parse_usize(value, "kappa")?).map_err(|_| {
+                    Response::error(400, &format!("kappa must be at most {}", u32::MAX))
+                })?
+            }
             "weights" => {
                 base.weights = match value {
                     Json::Null => None,
-                    Json::Str(spec) => {
-                        Some(nas_bench::cli::parse_weight_spec(spec).ok_or_else(|| {
-                            Response::error(
-                                400,
-                                &format!(
-                                    "weights must be unit, uniform:C, or range:LO:HI, got {spec:?}"
-                                ),
-                            )
-                        })?)
-                    }
+                    Json::Str(spec) => Some(WeightDist::parse(spec).ok_or_else(|| {
+                        Response::error(
+                            400,
+                            &format!(
+                                "weights must be unit, uniform:C, or range:LO:HI, got {spec:?}"
+                            ),
+                        )
+                    })?),
                     _ => return Err(Response::error(400, "weights must be a string or null")),
                 };
             }

@@ -825,16 +825,28 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, BuildError::InvalidSpec(ref m) if m.contains("path")));
 
-        // Missing file, corrupt binary, out-of-range text edge: each is a
-        // clean InvalidSpec naming the file, and a failed reload never
-        // bumps the epoch.
+        // Missing file, corrupt binary, out-of-range text edge, a header
+        // past the u32 id range, a NASC header claiming a 120 GiB payload
+        // it does not carry: each is a clean InvalidSpec naming the file,
+        // and a failed reload never bumps the epoch.
         let store = Store::open_with_pool(small_spec(), Arc::new(WorkerPool::new(1))).unwrap();
         let corrupt = TempFile::new("corrupt", b"NASC\x01garbage");
         let bad_edge = TempFile::new("bad_edge", b"p 4\n0 9\n");
+        let huge_n = TempFile::new("huge_n", b"p 5000000000\n");
+        let mut claim = b"NASC\x01".to_vec();
+        for x in [1u64 << 32, 1 << 32, 0] {
+            claim.extend(x.to_le_bytes());
+        }
+        claim.extend((1u32 << 31).to_le_bytes());
+        claim.extend((120u64 << 30).to_le_bytes());
+        claim.extend(2u64.to_le_bytes());
+        let huge_claim = TempFile::new("huge_claim", &claim);
         for path in [
             "/nonexistent/no_such_graph.bin".to_string(),
             corrupt.as_str().to_string(),
             bad_edge.as_str().to_string(),
+            huge_n.as_str().to_string(),
+            huge_claim.as_str().to_string(),
         ] {
             let err = store
                 .rebuild(BuildSpec {
