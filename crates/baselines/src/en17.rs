@@ -14,17 +14,21 @@
 //!    covered *with constant probability* per phase, so the size bound holds
 //!    in expectation rather than deterministically.
 //!
-//! The centralized implementation is exact (uncapped neighborhood
-//! knowledge). The distributed implementation reuses the `nas-core`
-//! Algorithm 1 exploration with a knowledge cap of `deg_i · ⌈log₂ n⌉ · 2`
-//! — a with-high-probability surrogate for EN17's Bellman–Ford congestion
+//! Both builds run one phase loop over a `nas-core` [`PhaseEngine`]:
+//! [`CentralizedEngine`] for the centralized build, [`CongestEngine`] for
+//! the distributed one, with the cluster state advanced by
+//! [`Clustering::supercluster`]. The loop stays apart from
+//! [`nas_core::build_with_engine`], which computes a ruling set where
+//! EN17 samples and asserts Lemma 2.4 on it. The centralized build is
+//! exact (uncapped neighborhood knowledge). The distributed build caps
+//! Algorithm 1's knowledge at `deg_i · ⌈log₂ n⌉ · 2` — a
+//! with-high-probability surrogate for EN17's Bellman–Ford congestion
 //! argument; its measured round counts scale as `O(β · n^ρ · log n)`,
 //! matching EN17's stated bound.
 
-use nas_congest::{RunHooks, RunStats, SimArena};
-use nas_core::algo1;
-use nas_core::interconnect;
-use nas_core::supercluster;
+use nas_congest::{RunHooks, RunStats};
+use nas_core::cluster::Clustering;
+use nas_core::{CentralizedEngine, CongestEngine, PhaseEngine};
 use nas_graph::rng::SplitMix64;
 use nas_graph::{EdgeSet, EpochMarks, Graph};
 
@@ -120,7 +124,7 @@ fn en17_schedule(params: &En17Params, n: usize) -> (usize, Vec<u64>, Vec<u64>) {
 /// Panics if the parameters are invalid (same domain as
 /// [`nas_core::Params`]).
 pub fn build_en17_centralized(g: &Graph, params: En17Params) -> En17Result {
-    build_en17(g, params, None)
+    build_en17(g, params, None, &mut CentralizedEngine)
 }
 
 /// Builds an EN17 spanner with every step running on the CONGEST simulator.
@@ -130,67 +134,56 @@ pub fn build_en17_centralized(g: &Graph, params: En17Params) -> En17Result {
 pub fn build_en17_distributed(g: &Graph, params: En17Params) -> En17Result {
     let n = g.num_vertices().max(2);
     let cap_factor = 2 * (n as f64).log2().ceil() as usize;
-    build_en17(g, params, Some(cap_factor.max(1)))
+    build_en17(
+        g,
+        params,
+        Some(cap_factor.max(1)),
+        &mut CongestEngine::new(),
+    )
 }
 
-fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> En17Result {
+/// The EN17 phase loop over `engine`. Algorithm 1's knowledge cap is
+/// `deg_i · cap_factor` (uncapped when `None`), and interconnection gets
+/// the round budget the engine derives from that cap.
+fn build_en17<E: PhaseEngine>(
+    g: &Graph,
+    params: En17Params,
+    cap_factor: Option<usize>,
+    engine: &mut E,
+) -> En17Result {
     let n = g.num_vertices();
     let (ell, delta, deg) = en17_schedule(&params, n.max(2));
     let mut rng = SplitMix64::new(params.seed);
-
-    let mut h = EdgeSet::new(n);
-    let mut stats = RunStats::new();
-    let mut phases = Vec::with_capacity(ell + 1);
-    // Cluster state: center of each vertex's cluster (None once settled).
-    let mut center_of: Vec<Option<u32>> = (0..n).map(|v| Some(v as u32)).collect();
-    // Flat per-center transition tables, reused across phases (the flat
-    // distance plane's idiom replacing the old per-phase
-    // HashSet/HashMap churn): `root_of_center[c]` is the supercluster root
-    // of center `c` this phase (`NO_ROOT` sentinel = not superclustered),
-    // `spanned`/`settled` are epoch-marked sets.
-    const NO_ROOT: u32 = u32::MAX;
-    let mut root_of_center: Vec<u32> = vec![NO_ROOT; n];
-    let mut spanned = EpochMarks::new();
-    let mut settled_mark = EpochMarks::new();
-    // One simulator arena for every distributed step of the build.
-    let mut arena = SimArena::new();
     let mut hooks = RunHooks::none();
 
+    let mut h = EdgeSet::new(n);
+    let mut phases = Vec::with_capacity(ell + 1);
+    let mut clustering = Clustering::singletons(n);
+    let mut spanned = EpochMarks::new();
+
     for i in 0..=ell {
-        let centers: Vec<usize> = (0..n).filter(|&v| center_of[v] == Some(v as u32)).collect();
+        let centers = clustering.centers().to_vec();
+        let mut record = En17PhaseStats {
+            phase: i,
+            num_clusters: centers.len(),
+            sampled: 0,
+            superclustered: 0,
+            settled_clusters: 0,
+            delta: delta[i],
+            rounds: 0,
+        };
         if centers.is_empty() {
-            phases.push(En17PhaseStats {
-                phase: i,
-                num_clusters: 0,
-                sampled: 0,
-                superclustered: 0,
-                settled_clusters: 0,
-                delta: delta[i],
-                rounds: 0,
-            });
+            phases.push(record);
             continue;
         }
         let mut is_center = vec![false; n];
         for &c in &centers {
             is_center[c] = true;
         }
-        let mut phase_rounds = 0u64;
 
         // Neighborhood knowledge for the interconnection step.
-        let cap = match dist_cap_factor {
-            None => n + 1, // uncapped: exact
-            Some(f) => (deg[i] as usize).saturating_mul(f).min(n + 1),
-        };
-        let info = match dist_cap_factor {
-            None => algo1::algo1_centralized(g, &is_center, cap, delta[i]),
-            Some(_) => {
-                let (info, s) =
-                    algo1::algo1_distributed(g, &is_center, cap, delta[i], &mut arena, &mut hooks);
-                phase_rounds += s.rounds;
-                stats.merge(&s);
-                info
-            }
-        };
+        let cap = cap_factor.map_or(n + 1, |f| (deg[i] as usize).saturating_mul(f).min(n + 1));
+        let info = engine.detect_popular(g, &centers, &is_center, cap, delta[i], &mut hooks);
 
         // Superclustering by sampling (all phases but the last).
         let (settled_centers, assignment) = if i < ell {
@@ -200,17 +193,7 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
                 .copied()
                 .filter(|_| rng.next_bool(p))
                 .collect();
-            let sc = match dist_cap_factor {
-                None => supercluster::supercluster_centralized(g, &roots, &centers, delta[i]),
-                Some(_) => {
-                    let (sc, s) = supercluster::supercluster_distributed(
-                        g, &roots, &centers, delta[i], &mut arena, &mut hooks,
-                    );
-                    phase_rounds += s.rounds;
-                    stats.merge(&s);
-                    sc
-                }
-            };
+            let sc = engine.supercluster(g, &roots, &centers, delta[i], &mut hooks);
             h.union_with(&sc.path_edges);
             spanned.begin(n);
             for &(c, _) in &sc.assignment {
@@ -221,77 +204,29 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
                 .copied()
                 .filter(|&c| !spanned.is_marked(c))
                 .collect();
-            (settled, Some((sc.assignment, roots.len())))
+            record.sampled = roots.len();
+            record.superclustered = sc.assignment.len();
+            (settled, Some(sc.assignment))
         } else {
-            (centers.clone(), None)
+            (centers, None)
         };
 
         // Interconnection from settled clusters.
-        let inter = match dist_cap_factor {
-            None => interconnect::interconnect_centralized(g, &info, &settled_centers),
-            Some(_) => {
-                let max_rounds = cap as u64 * delta[i] + delta[i] + 4;
-                let (inter, s) = interconnect::interconnect_distributed(
-                    g,
-                    &info,
-                    &settled_centers,
-                    max_rounds,
-                    &mut arena,
-                    &mut hooks,
-                );
-                phase_rounds += s.rounds;
-                stats.merge(&s);
-                inter
-            }
-        };
+        let inter = engine.interconnect(g, &info, &settled_centers, cap, delta[i], &mut hooks);
         h.union_with(&inter.edges);
 
-        // Advance cluster state on the flat tables.
-        settled_mark.begin(n);
-        for &c in &settled_centers {
-            settled_mark.mark(c);
+        record.settled_clusters = settled_centers.len();
+        record.rounds = engine.take_phase_rounds();
+        phases.push(record);
+        if let Some(assignment) = assignment {
+            clustering = clustering.supercluster(&assignment);
         }
-        let (superclustered, sampled) = match &assignment {
-            Some((assign, roots)) => {
-                for &(c, r) in assign {
-                    root_of_center[c] = r as u32;
-                }
-                (assign.len(), *roots)
-            }
-            None => (0, 0),
-        };
-        for slot in center_of.iter_mut() {
-            if let Some(c) = *slot {
-                if settled_mark.is_marked(c as usize) {
-                    *slot = None;
-                } else if root_of_center[c as usize] != NO_ROOT {
-                    *slot = Some(root_of_center[c as usize]);
-                }
-            }
-        }
-        // Rewind the root table for the next phase (assignment entries
-        // only — no dense refill).
-        if let Some((assign, _)) = &assignment {
-            for &(c, _) in assign {
-                root_of_center[c] = NO_ROOT;
-            }
-        }
-
-        phases.push(En17PhaseStats {
-            phase: i,
-            num_clusters: centers.len(),
-            sampled,
-            superclustered,
-            settled_clusters: settled_centers.len(),
-            delta: delta[i],
-            rounds: phase_rounds,
-        });
     }
 
     En17Result {
         spanner: h,
         phases,
-        stats,
+        stats: engine.stats(),
         delta,
         deg,
     }
@@ -385,6 +320,20 @@ mod tests {
                 p.phase
             );
         }
+    }
+
+    /// Pins EN17's output on one input: both builds give the same edge
+    /// set, and the distributed build's cost and schedule.
+    #[test]
+    fn golden_connected_gnp_300() {
+        let g = generators::connected_gnp(300, 0.03, 7);
+        let c = build_en17_centralized(&g, params(0));
+        let d = build_en17_distributed(&g, params(0));
+        assert_eq!(c.spanner, d.spanner);
+        assert_eq!(d.num_edges(), 594);
+        assert_eq!((d.stats.rounds, d.stats.messages), (4075, 155_065));
+        assert_eq!(d.delta, [1, 4, 14]);
+        assert_eq!(d.deg, [5, 14, 14]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * **Per-vertex block** (concatenated in vertex order in `data`):
 //!   `varint(deg)`, then — when `deg > 0` — the **first** neighbor as
 //!   `varint(zigzag(adj[0] - v))` (a signed delta from the vertex's own id,
-//!   which locality renumbering makes small), then each subsequent neighbor
+//!   small when neighbors have nearby ids), then each subsequent neighbor
 //!   as `varint(adj[i] - adj[i-1])` (strictly positive gaps, since
 //!   adjacency is sorted and duplicate-free).
 //! * **Varints** are LEB128: 7 payload bits per byte, high bit = continue.
@@ -31,9 +31,9 @@
 //! delta/varint code cannot beat the adjacency entropy floor of
 //! `log2(C(n, d)) / d ≈ log2(n/d) + 1.44` bits per arc: a `gnp` graph at
 //! n = 10^6 and average degree 8 has a floor of ≈ 2.1 bytes per arc no
-//! matter the ordering, while paths/grids under a locality order
-//! ([`crate::order`]) compress to ≈ 1–1.5 bytes per arc because their gaps
-//! are genuinely small.
+//! matter the ordering, while paths and grids in their generated order
+//! compress to 1.563 and 2.032 bytes per arc at n = 10^6 (measured by
+//! `sim_scaling --store compact`) because their gaps are genuinely small.
 //!
 //! # Trust model
 //!
@@ -45,7 +45,6 @@
 //! panicking, pinned by the differential proptests.
 
 use crate::graph::Graph;
-use crate::weighted::WeightedGraph;
 use std::fmt;
 
 /// Default block-sampling interval for the offset index: one `u64` offset
@@ -632,154 +631,10 @@ impl Iterator for NeighborIter<'_> {
 
 impl ExactSizeIterator for NeighborIter<'_> {}
 
-/// A weighted graph with the adjacency **and** the `u32` edge weights
-/// varint-packed: each neighbor entry interleaves `varint(weight)` right
-/// after its delta, so one sequential decode yields both arrays. Same
-/// trust model and sampling index as [`CompactGraph`].
-#[derive(Clone, PartialEq, Eq)]
-pub struct CompactWeightedGraph {
-    n: usize,
-    m: usize,
-    max_degree: usize,
-    sample_every: usize,
-    data: Vec<u8>,
-    samples: Vec<u64>,
-}
-
-impl fmt::Debug for CompactWeightedGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompactWeightedGraph")
-            .field("n", &self.n)
-            .field("m", &self.m)
-            .field("bytes", &self.data.len())
-            .finish()
-    }
-}
-
-impl CompactWeightedGraph {
-    /// Compresses `g` losslessly, weights included
-    /// ([`CompactWeightedGraph::to_weighted_graph`] inverts it).
-    pub fn from_weighted_graph(g: &WeightedGraph) -> Self {
-        let base = g.graph();
-        let n = base.num_vertices();
-        let arc_weights = g.arc_weights();
-        let mut data = Vec::with_capacity(base.degree_sum() * 3 + n);
-        let mut samples = Vec::with_capacity(n.div_ceil(DEFAULT_SAMPLE_EVERY));
-        let mut max_degree = 0usize;
-        for v in 0..n {
-            if v % DEFAULT_SAMPLE_EVERY == 0 {
-                samples.push(data.len() as u64);
-            }
-            let adj = base.neighbors(v);
-            let arc_base = base.neighbor_range(v).start;
-            max_degree = max_degree.max(adj.len());
-            write_varint(&mut data, adj.len() as u64);
-            let mut prev: Option<u32> = None;
-            for (k, &u) in adj.iter().enumerate() {
-                match prev {
-                    None => write_varint(&mut data, zigzag(u as i64 - v as i64)),
-                    Some(p) => write_varint(&mut data, (u - p) as u64),
-                }
-                write_varint(&mut data, arc_weights[arc_base + k] as u64);
-                prev = Some(u);
-            }
-        }
-        data.shrink_to_fit();
-        CompactWeightedGraph {
-            n,
-            m: base.num_edges(),
-            max_degree,
-            sample_every: DEFAULT_SAMPLE_EVERY,
-            data,
-            samples,
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of (undirected) edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.m
-    }
-
-    /// Maximum degree over all vertices.
-    #[inline]
-    pub fn max_degree(&self) -> usize {
-        self.max_degree
-    }
-
-    /// Encoded bytes per directed arc; the flat weighted store costs 8
-    /// (`u32` target + `u32` weight). See [`CompactGraph::bytes_per_edge`].
-    pub fn bytes_per_edge(&self) -> f64 {
-        if self.m == 0 {
-            return 0.0;
-        }
-        (self.data.len() + self.samples.len() * 8) as f64 / (2 * self.m) as f64
-    }
-
-    #[inline]
-    fn block(&self, v: usize) -> (usize, u32) {
-        let mut pos = self.samples[v / self.sample_every] as usize;
-        for _ in 0..(v % self.sample_every) {
-            let d = read_varint(&self.data, &mut pos);
-            skip_varints(&self.data, &mut pos, 2 * d as usize);
-        }
-        let deg = read_varint(&self.data, &mut pos);
-        (pos, deg as u32)
-    }
-
-    /// Decodes `v`'s sorted adjacency and the parallel weights into two
-    /// scratch vectors (both cleared first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_vertices()`.
-    pub fn decode_into(&self, v: usize, adj: &mut Vec<u32>, weights: &mut Vec<u32>) {
-        assert!(v < self.n, "vertex {v} out of range");
-        adj.clear();
-        weights.clear();
-        let (mut pos, deg) = self.block(v);
-        let mut prev: Option<u32> = None;
-        for _ in 0..deg {
-            let raw = read_varint(&self.data, &mut pos);
-            let u = match prev {
-                None => (v as i64 + unzigzag(raw)) as u32,
-                Some(p) => p + raw as u32,
-            };
-            adj.push(u);
-            weights.push(read_varint(&self.data, &mut pos) as u32);
-            prev = Some(u);
-        }
-    }
-
-    /// Decompresses back to the flat weighted representation.
-    pub fn to_weighted_graph(&self) -> WeightedGraph {
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut targets = Vec::with_capacity(2 * self.m);
-        let mut weights = Vec::with_capacity(2 * self.m);
-        offsets.push(0usize);
-        let mut adj_scratch = Vec::new();
-        let mut w_scratch = Vec::new();
-        for v in 0..self.n {
-            self.decode_into(v, &mut adj_scratch, &mut w_scratch);
-            targets.extend_from_slice(&adj_scratch);
-            weights.extend_from_slice(&w_scratch);
-            offsets.push(targets.len());
-        }
-        WeightedGraph::from_parts(Graph::from_csr(offsets, targets), weights)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::weighted::WeightDist;
 
     #[test]
     fn varint_round_trips() {
@@ -959,19 +814,5 @@ mod tests {
                 Err(CompactError::BadSamples { .. })
             ));
         }
-    }
-
-    #[test]
-    fn weighted_round_trips() {
-        let g = generators::gnp(120, 0.06, 9);
-        let wg = WeightedGraph::from_graph(g, WeightDist::Uniform { lo: 1, hi: 64 }, 13);
-        let cw = CompactWeightedGraph::from_weighted_graph(&wg);
-        assert_eq!(cw.num_vertices(), wg.graph().num_vertices());
-        assert_eq!(cw.num_edges(), wg.graph().num_edges());
-        let back = cw.to_weighted_graph();
-        assert_eq!(back.graph(), wg.graph());
-        assert_eq!(back.arc_weights(), wg.arc_weights());
-        assert!(cw.bytes_per_edge() < 8.0);
-        assert_eq!(cw.max_degree(), wg.graph().max_degree());
     }
 }

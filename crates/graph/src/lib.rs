@@ -55,16 +55,14 @@ pub mod edgeset;
 pub mod generators;
 pub mod graph;
 pub mod io;
-pub mod order;
 pub mod rng;
 pub mod sssp;
 pub mod weighted;
 
 pub use builder::GraphBuilder;
-pub use compact::{CompactError, CompactGraph, CompactGraphBuilder, CompactWeightedGraph};
+pub use compact::{CompactError, CompactGraph, CompactGraphBuilder};
 pub use dist::{BatchScratch, BfsScratch, DistanceBatch, DistanceMap, EpochMarks, LaneScratch};
 pub use edgeset::{EdgeSet, FxBuildHasher, FxHasher};
 pub use graph::{Graph, GraphError};
-pub use order::Permutation;
 pub use sssp::{SsspBatchScratch, SsspScratch};
 pub use weighted::{WeightDist, WeightedGraph, WeightedGraphBuilder};

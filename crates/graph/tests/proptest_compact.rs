@@ -1,12 +1,10 @@
 //! Differential property tests for the delta/varint compact codec: every
-//! graph round-trips edge-set-identically through [`CompactGraph`] (and its
-//! weighted twin), the serialized binary form round-trips byte-exactly, and
-//! corrupted or truncated streams error cleanly instead of panicking or
-//! decoding to a different graph.
+//! graph round-trips edge-set-identically through [`CompactGraph`], the
+//! serialized binary form round-trips byte-exactly, and corrupted or
+//! truncated streams error cleanly instead of panicking or decoding to a
+//! different graph.
 
-use nas_graph::{
-    generators, io, CompactGraph, CompactWeightedGraph, GraphBuilder, WeightedGraphBuilder,
-};
+use nas_graph::{generators, io, CompactGraph, GraphBuilder};
 use proptest::prelude::*;
 
 proptest! {
@@ -37,23 +35,6 @@ proptest! {
             let it: Vec<u32> = c.neighbors(v).collect();
             prop_assert_eq!(&it[..], g.neighbors(v), "iter at {} drifted", v);
         }
-    }
-
-    /// The weighted codec round-trips adjacency *and* weights.
-    #[test]
-    fn weighted_codec_round_trips(
-        n in 1usize..48,
-        edges in prop::collection::vec((0usize..48, 0usize..48, 0u32..1000), 0..150),
-    ) {
-        let mut b = WeightedGraphBuilder::new(n);
-        for (u, v, w) in edges {
-            b.add_edge(u % n, v % n, w);
-        }
-        let g = b.build();
-        let c = CompactWeightedGraph::from_weighted_graph(&g);
-        prop_assert_eq!(c.num_vertices(), g.num_vertices());
-        prop_assert_eq!(c.num_edges(), g.num_edges());
-        prop_assert_eq!(c.to_weighted_graph(), g);
     }
 
     /// The binary format round-trips byte-exactly through a buffer.

@@ -2,30 +2,27 @@
 //!
 //! A downstream user of a spanner usually wants approximate distances
 //! without storing the original graph. [`SpannerOracle`] wraps a spanner
-//! graph and answers queries by BFS on the flat distance plane
-//! ([`nas_graph::dist`]): point queries hit a single cached
+//! and answers queries from one traversal per source: BFS on the flat
+//! distance plane ([`nas_graph::dist`]) for hop distances, or
+//! delta-stepping SSSP ([`nas_graph::sssp`]) for weighted distances, with a
+//! bucket width fixed at construction. Point queries hit a single cached
 //! [`DistanceMap`] row, batched queries fill a flat [`DistanceBatch`]
 //! sharded over a worker pool, and every traversal reuses the oracle's own
 //! scratch — after one warmup batch, repeated batch audits allocate
-//! nothing (pinned by `tests/zero_alloc_audit.rs`). [`compare`] measures
-//! the approximation quality pair-by-pair.
-//!
-//! [`WeightedSpannerOracle`] is the weighted twin: same caching and batch
-//! contracts, with delta-stepping SSSP ([`nas_graph::sssp`]) in place of
-//! BFS and a fixed bucket width chosen at construction.
+//! nothing (pinned by `tests/zero_alloc_audit.rs` and
+//! `tests/zero_alloc_weighted.rs`).
 
 use nas_graph::dist::{BatchScratch, BfsScratch, DistanceBatch, DistanceMap};
 use nas_graph::sssp::{auto_delta, SsspBatchScratch, SsspScratch};
 use nas_graph::{Graph, WeightedGraph};
 use nas_par::WorkerPool;
 
-/// A uniform counter snapshot for either oracle flavor — the one struct a
-/// monitoring surface (e.g. `nas-serve`'s `/stats` endpoint) reads instead
-/// of stitching together per-oracle accessors.
+/// The oracle's counter snapshot — the one struct a monitoring surface
+/// (e.g. `nas-serve`'s `/stats` endpoint) reads.
 ///
 /// All counters are cumulative over the oracle's lifetime except
 /// [`cached_rows`](OracleStats::cached_rows), which is the *current* cache
-/// occupancy (0 or 1 — both oracles keep a single-row cache).
+/// occupancy (0 or 1 — the oracle keeps a single-row cache).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Point queries answered (`distance` calls).
@@ -33,9 +30,8 @@ pub struct OracleStats {
     /// Point queries answered from the cached row, without a traversal
     /// (including symmetric hits on the reversed endpoint pair).
     pub cache_hits: u64,
-    /// Full-row traversals executed — BFS for [`SpannerOracle`],
-    /// delta-stepping SSSP for [`WeightedSpannerOracle`] — across both the
-    /// point and batch paths. Equals `bfs_runs()` / `sssp_runs()`.
+    /// Full-row traversals executed (BFS or delta-stepping SSSP) across
+    /// both the point and batch paths.
     pub traversals: u64,
     /// Rows currently held in the cache (0 or 1).
     pub cached_rows: u64,
@@ -52,78 +48,130 @@ impl OracleStats {
     }
 }
 
-/// Distance oracle over a spanner `H`.
+/// The spanner with the traversal scratch for its distance kind.
+#[derive(Debug, Clone)]
+enum Plane {
+    /// Hop distances by BFS.
+    Hops {
+        graph: Graph,
+        scratch: BfsScratch,
+        batch: BatchScratch,
+    },
+    /// Weighted distances by delta-stepping with bucket width `delta`.
+    Weighted {
+        graph: WeightedGraph,
+        delta: u32,
+        scratch: SsspScratch,
+        batch: SsspBatchScratch,
+    },
+}
+
+/// Distance oracle over a spanner `H`, in hop or weighted distances.
 ///
-/// Point queries run BFS from the source on demand; the row is cached, so
-/// repeated queries from (or into — the graph is undirected) one source
-/// are cheap. For many sources use
+/// Point queries traverse from the source on demand; the row is cached,
+/// so repeated queries from (or into — the graph is undirected) one
+/// source are cheap. For many sources use
 /// [`distances_batch_into`](SpannerOracle::distances_batch_into); for an
 /// all-pairs audit use [`crate::stretch_audit`] instead.
+///
+/// A weighted oracle's delta-stepping bucket width is fixed at
+/// construction — [`auto_delta`] by default, or an explicit width via
+/// [`with_delta`](SpannerOracle::with_delta) — so every query against one
+/// oracle is a pure function of `(spanner, source)`.
 #[derive(Debug, Clone)]
 pub struct SpannerOracle {
-    spanner: Graph,
+    plane: Plane,
     cache_source: Option<usize>,
     cache_row: DistanceMap,
-    scratch: BfsScratch,
-    batch_scratch: BatchScratch,
-    bfs_runs: u64,
+    traversals: u64,
     point_queries: u64,
     cache_hits: u64,
 }
 
 impl SpannerOracle {
-    /// Creates an oracle over a spanner graph.
+    /// Creates an oracle over a spanner graph, answering hop distances.
     pub fn new(spanner: Graph) -> Self {
+        Self::over(Plane::Hops {
+            graph: spanner,
+            scratch: BfsScratch::new(),
+            batch: BatchScratch::new(),
+        })
+    }
+
+    /// Creates an oracle over a weighted spanner, answering weighted
+    /// distances, with the bucket width picked by [`auto_delta`] (unit
+    /// weights degenerate to Dial's `Δ = 1`).
+    pub fn weighted(spanner: WeightedGraph) -> Self {
+        let delta = auto_delta(&spanner);
+        Self::with_delta(spanner, delta)
+    }
+
+    /// [`weighted`](SpannerOracle::weighted) with an explicit
+    /// delta-stepping bucket width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta == 0`.
+    pub fn with_delta(spanner: WeightedGraph, delta: u32) -> Self {
+        assert!(delta >= 1, "delta must be at least 1");
+        Self::over(Plane::Weighted {
+            graph: spanner,
+            delta,
+            scratch: SsspScratch::new(),
+            batch: SsspBatchScratch::new(),
+        })
+    }
+
+    fn over(plane: Plane) -> Self {
         SpannerOracle {
-            spanner,
+            plane,
             cache_source: None,
             cache_row: DistanceMap::new(),
-            scratch: BfsScratch::new(),
-            batch_scratch: BatchScratch::new(),
-            bfs_runs: 0,
+            traversals: 0,
             point_queries: 0,
             cache_hits: 0,
         }
     }
 
-    /// The underlying spanner.
+    /// The underlying spanner's topology.
     pub fn graph(&self) -> &Graph {
-        &self.spanner
+        match &self.plane {
+            Plane::Hops { graph, .. } => graph,
+            Plane::Weighted { graph, .. } => graph.graph(),
+        }
     }
 
-    /// Number of BFS traversals executed so far (cache-effectiveness
-    /// observability; pinned by tests).
-    pub fn bfs_runs(&self) -> u64 {
-        self.bfs_runs
+    /// The delta-stepping bucket width of a weighted oracle; `None` for a
+    /// hop-distance oracle.
+    pub fn delta(&self) -> Option<u32> {
+        match self.plane {
+            Plane::Hops { .. } => None,
+            Plane::Weighted { delta, .. } => Some(delta),
+        }
     }
 
-    /// Rows currently held in the single-row cache (0 or 1).
-    pub fn cached_rows(&self) -> u64 {
-        self.cache_source.is_some() as u64
-    }
-
-    /// The uniform counter snapshot ([`OracleStats`]) for this oracle:
-    /// `traversals` is [`bfs_runs`](SpannerOracle::bfs_runs), point-query
-    /// counters cover the [`distance`](SpannerOracle::distance) surface.
+    /// The counter snapshot ([`OracleStats`]) for this oracle: point-query
+    /// counters cover the [`distance`](SpannerOracle::distance) surface,
+    /// `traversals` both the point and batch paths.
     pub fn stats(&self) -> OracleStats {
         OracleStats {
             point_queries: self.point_queries,
             cache_hits: self.cache_hits,
-            traversals: self.bfs_runs,
-            cached_rows: self.cached_rows(),
+            traversals: self.traversals,
+            cached_rows: self.cache_source.is_some() as u64,
         }
     }
 
     /// The spanner distance `d_H(u, v)`, or `None` if disconnected in `H`.
     ///
     /// The graph is undirected, so `d_H(u, v) = d_H(v, u)`: a cached row
-    /// for *either* endpoint answers the query without a fresh BFS.
+    /// for *either* endpoint answers the query without a fresh traversal.
     ///
     /// # Panics
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn distance(&mut self, u: usize, v: usize) -> Option<u32> {
-        let n = self.spanner.num_vertices();
+        let n = self.graph().num_vertices();
         assert!(u < n && v < n, "query out of range");
         self.point_queries += 1;
         if self.cache_source == Some(u) {
@@ -139,12 +187,21 @@ impl SpannerOracle {
     }
 
     fn refill_cache(&mut self, u: usize) {
-        self.cache_row.fill(&self.spanner, [u], &mut self.scratch);
+        match &mut self.plane {
+            Plane::Hops { graph, scratch, .. } => self.cache_row.fill(graph, [u], scratch),
+            Plane::Weighted {
+                graph,
+                delta,
+                scratch,
+                ..
+            } => self.cache_row.fill_weighted(graph, [u], *delta, scratch),
+        }
         self.cache_source = Some(u);
-        self.bfs_runs += 1;
+        self.traversals += 1;
     }
 
-    /// Batched distances from one source (one BFS, cached): the flat row.
+    /// Batched distances from one source (one traversal, cached): the
+    /// flat row.
     pub fn distance_map_from(&mut self, u: usize) -> &DistanceMap {
         if self.cache_source != Some(u) {
             self.refill_cache(u);
@@ -153,16 +210,16 @@ impl SpannerOracle {
     }
 
     /// Batched distances from many sources into a reusable flat batch: one
-    /// BFS per source, sharded over `pool`. Row `i` corresponds to
+    /// traversal per source, sharded over `pool`. Row `i` corresponds to
     /// `sources[i]`, byte-identical to a sequential
     /// [`distance_map_from`](SpannerOracle::distance_map_from) loop at any
     /// thread count.
     ///
     /// Reuses `out` and the oracle's internal per-lane scratch: after one
     /// warmup call, repeated batches of the same shape allocate nothing.
-    /// Counts one BFS per source in [`bfs_runs`](SpannerOracle::bfs_runs)
-    /// and leaves the single-row cache holding the *last* source's row, so
-    /// follow-up point queries anchored there stay free.
+    /// Counts one traversal per source and leaves the single-row cache
+    /// holding the *last* source's row, so follow-up point queries
+    /// anchored there stay free.
     ///
     /// # Panics
     ///
@@ -173,8 +230,16 @@ impl SpannerOracle {
         out: &mut DistanceBatch,
         pool: &WorkerPool,
     ) {
-        out.fill(&self.spanner, sources, &mut self.batch_scratch, pool);
-        self.bfs_runs += sources.len() as u64;
+        match &mut self.plane {
+            Plane::Hops { graph, batch, .. } => out.fill(graph, sources, batch, pool),
+            Plane::Weighted {
+                graph,
+                delta,
+                batch,
+                ..
+            } => out.fill_weighted(graph, sources, *delta, batch, pool),
+        }
+        self.traversals += sources.len() as u64;
         if let Some(&s) = sources.last() {
             self.cache_source = Some(s);
             self.cache_row.copy_row(out.row(sources.len() - 1));
@@ -190,230 +255,6 @@ impl SpannerOracle {
     }
 }
 
-/// Distance oracle over a **weighted** spanner `H`.
-///
-/// The weighted twin of [`SpannerOracle`]: point queries run one
-/// delta-stepping SSSP ([`nas_graph::sssp`]) from the source and cache the
-/// row (answering reversed queries by symmetry), batched queries fill a
-/// flat [`DistanceBatch`] sharded over a worker pool through the oracle's
-/// own [`SsspBatchScratch`]. After one warmup batch, repeated batch audits
-/// allocate nothing (pinned by `tests/zero_alloc_weighted.rs`).
-///
-/// The delta-stepping bucket width is fixed at construction —
-/// [`auto_delta`] by default, or an explicit width via
-/// [`with_delta`](WeightedSpannerOracle::with_delta) — so every query
-/// against one oracle is a pure function of `(spanner, source)`.
-#[derive(Debug, Clone)]
-pub struct WeightedSpannerOracle {
-    spanner: WeightedGraph,
-    delta: u32,
-    cache_source: Option<usize>,
-    cache_row: DistanceMap,
-    scratch: SsspScratch,
-    batch_scratch: SsspBatchScratch,
-    sssp_runs: u64,
-    point_queries: u64,
-    cache_hits: u64,
-}
-
-impl WeightedSpannerOracle {
-    /// Creates an oracle over a weighted spanner, picking the bucket width
-    /// with [`auto_delta`] (unit weights degenerate to Dial's `Δ = 1`).
-    pub fn new(spanner: WeightedGraph) -> Self {
-        let delta = auto_delta(&spanner);
-        Self::with_delta(spanner, delta)
-    }
-
-    /// Creates an oracle with an explicit delta-stepping bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta == 0`.
-    pub fn with_delta(spanner: WeightedGraph, delta: u32) -> Self {
-        assert!(delta >= 1, "delta must be at least 1");
-        WeightedSpannerOracle {
-            spanner,
-            delta,
-            cache_source: None,
-            cache_row: DistanceMap::new(),
-            scratch: SsspScratch::new(),
-            batch_scratch: SsspBatchScratch::new(),
-            sssp_runs: 0,
-            point_queries: 0,
-            cache_hits: 0,
-        }
-    }
-
-    /// The underlying weighted spanner.
-    pub fn graph(&self) -> &WeightedGraph {
-        &self.spanner
-    }
-
-    /// The delta-stepping bucket width this oracle traverses with.
-    pub fn delta(&self) -> u32 {
-        self.delta
-    }
-
-    /// Number of SSSP traversals executed so far (cache-effectiveness
-    /// observability, the weighted analogue of
-    /// [`bfs_runs`](SpannerOracle::bfs_runs)).
-    pub fn sssp_runs(&self) -> u64 {
-        self.sssp_runs
-    }
-
-    /// Rows currently held in the single-row cache (0 or 1).
-    pub fn cached_rows(&self) -> u64 {
-        self.cache_source.is_some() as u64
-    }
-
-    /// The uniform counter snapshot ([`OracleStats`]) for this oracle:
-    /// `traversals` is [`sssp_runs`](WeightedSpannerOracle::sssp_runs),
-    /// point-query counters cover the
-    /// [`distance`](WeightedSpannerOracle::distance) surface.
-    pub fn stats(&self) -> OracleStats {
-        OracleStats {
-            point_queries: self.point_queries,
-            cache_hits: self.cache_hits,
-            traversals: self.sssp_runs,
-            cached_rows: self.cached_rows(),
-        }
-    }
-
-    /// The weighted spanner distance `d_H(u, v)`, or `None` if
-    /// disconnected in `H`. Symmetric like the unweighted oracle: a cached
-    /// row for *either* endpoint answers without a fresh traversal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn distance(&mut self, u: usize, v: usize) -> Option<u32> {
-        let n = self.spanner.num_vertices();
-        assert!(u < n && v < n, "query out of range");
-        self.point_queries += 1;
-        if self.cache_source == Some(u) {
-            self.cache_hits += 1;
-            return self.cache_row.get(v);
-        }
-        if self.cache_source == Some(v) {
-            self.cache_hits += 1;
-            return self.cache_row.get(u);
-        }
-        self.refill_cache(u);
-        self.cache_row.get(v)
-    }
-
-    fn refill_cache(&mut self, u: usize) {
-        self.cache_row
-            .fill_weighted(&self.spanner, [u], self.delta, &mut self.scratch);
-        self.cache_source = Some(u);
-        self.sssp_runs += 1;
-    }
-
-    /// Batched weighted distances from one source (one SSSP, cached).
-    pub fn distance_map_from(&mut self, u: usize) -> &DistanceMap {
-        if self.cache_source != Some(u) {
-            self.refill_cache(u);
-        }
-        &self.cache_row
-    }
-
-    /// Batched weighted distances from many sources into a reusable flat
-    /// batch: one SSSP per source, sharded over `pool`. Row `i`
-    /// corresponds to `sources[i]`, byte-identical to a sequential
-    /// [`distance_map_from`](WeightedSpannerOracle::distance_map_from)
-    /// loop at any thread count.
-    ///
-    /// Reuses `out` and the oracle's internal per-lane scratch: after one
-    /// warmup call, repeated batches of the same shape allocate nothing.
-    /// Counts one SSSP per source in
-    /// [`sssp_runs`](WeightedSpannerOracle::sssp_runs) and leaves the
-    /// single-row cache holding the *last* source's row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source is out of range.
-    pub fn distances_batch_into(
-        &mut self,
-        sources: &[usize],
-        out: &mut DistanceBatch,
-        pool: &WorkerPool,
-    ) {
-        out.fill_weighted(
-            &self.spanner,
-            sources,
-            self.delta,
-            &mut self.batch_scratch,
-            pool,
-        );
-        self.sssp_runs += sources.len() as u64;
-        if let Some(&s) = sources.last() {
-            self.cache_source = Some(s);
-            self.cache_row.copy_row(out.row(sources.len() - 1));
-        }
-    }
-
-    /// [`distances_batch_into`](WeightedSpannerOracle::distances_batch_into)
-    /// with a freshly allocated batch — the convenience form for one-shot
-    /// callers.
-    pub fn distances_batch(&mut self, sources: &[usize], pool: &WorkerPool) -> DistanceBatch {
-        let mut out = DistanceBatch::new();
-        self.distances_batch_into(sources, &mut out, pool);
-        out
-    }
-}
-
-/// Quality of one oracle answer against the base graph.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryQuality {
-    /// Exact distance in `G`.
-    pub exact: u32,
-    /// Spanner distance.
-    pub approx: u32,
-    /// `approx − exact`.
-    pub additive_error: u32,
-}
-
-/// Compares oracle answers against exact distances for the given pairs.
-///
-/// Returns `None` entries for pairs disconnected in `G`.
-///
-/// # Panics
-///
-/// Panics if the vertex sets differ or a spanner loses connectivity that `G`
-/// has (that would make it not a spanner).
-pub fn compare(
-    g: &Graph,
-    oracle: &mut SpannerOracle,
-    pairs: &[(usize, usize)],
-) -> Vec<Option<QueryQuality>> {
-    assert_eq!(g.num_vertices(), oracle.graph().num_vertices());
-    let mut out = Vec::with_capacity(pairs.len());
-    let mut g_cache_source = usize::MAX;
-    let mut g_row = DistanceMap::new();
-    let mut g_scratch = BfsScratch::new();
-    for &(u, v) in pairs {
-        if g_cache_source != u {
-            g_row.fill(g, [u], &mut g_scratch);
-            g_cache_source = u;
-        }
-        match g_row.get(v) {
-            None => out.push(None),
-            Some(exact) => {
-                let approx = oracle
-                    .distance(u, v)
-                    .expect("spanner must preserve connectivity");
-                assert!(approx >= exact, "spanner distance below graph distance");
-                out.push(Some(QueryQuality {
-                    exact,
-                    approx,
-                    additive_error: approx - exact,
-                }));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,7 +268,7 @@ mod tests {
         assert_eq!(o.distance(0, 0), Some(0));
         // Cached row reused.
         assert_eq!(o.distance(0, 7), Some(2));
-        assert_eq!(o.bfs_runs(), 1);
+        assert_eq!(o.stats().traversals, 1);
     }
 
     /// Regression test: a `(u, v)` query right after a cached row for `v`
@@ -439,18 +280,18 @@ mod tests {
         let g = generators::grid2d(6, 6);
         let mut o = SpannerOracle::new(g.clone());
         let forward = o.distance(0, 35);
-        assert_eq!(o.bfs_runs(), 1);
+        assert_eq!(o.stats().traversals, 1);
         let backward = o.distance(35, 0); // reversed endpoints: same row
         assert_eq!(forward, backward);
-        assert_eq!(o.bfs_runs(), 1, "symmetric query must not re-BFS");
+        assert_eq!(o.stats().traversals, 1, "symmetric query must not re-BFS");
         // Mixed batch anchored on one endpoint: still one BFS total.
         for v in [1, 7, 13, 35] {
             o.distance(v, 0);
         }
-        assert_eq!(o.bfs_runs(), 1);
+        assert_eq!(o.stats().traversals, 1);
         // A genuinely new source pair does BFS again.
         o.distance(14, 21);
-        assert_eq!(o.bfs_runs(), 2);
+        assert_eq!(o.stats().traversals, 2);
     }
 
     #[test]
@@ -460,7 +301,7 @@ mod tests {
         let sources = [0usize, 13, 25, 48, 13];
         let mut batched = SpannerOracle::new(g.clone());
         let rows = batched.distances_batch(&sources, &pool);
-        assert_eq!(batched.bfs_runs(), sources.len() as u64);
+        assert_eq!(batched.stats().traversals, sources.len() as u64);
 
         let mut pointwise = SpannerOracle::new(g.clone());
         for (i, &s) in sources.iter().enumerate() {
@@ -471,9 +312,9 @@ mod tests {
             );
         }
         // The cache holds the last batched row: anchored queries are free.
-        let runs = batched.bfs_runs();
+        let runs = batched.stats().traversals;
         assert_eq!(batched.distance(13, 40), rows.get(4, 40));
-        assert_eq!(batched.bfs_runs(), runs);
+        assert_eq!(batched.stats().traversals, runs);
     }
 
     /// The batch path reuses `out` and the oracle scratch across calls and
@@ -503,13 +344,13 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(o.bfs_runs(), 3 * sources.len() as u64);
+            assert_eq!(o.stats().traversals, 3 * sources.len() as u64);
         }
     }
 
-    /// The unified [`OracleStats`] snapshot agrees with the per-oracle
-    /// accessors on both flavors, and the hit counters track the point
-    /// path (cache hits, symmetric hits, batch traversals).
+    /// The [`OracleStats`] snapshot counts the same on both distance
+    /// kinds, and the hit counters track the point path (cache hits,
+    /// symmetric hits, batch traversals).
     #[test]
     fn oracle_stats_unifies_both_flavors() {
         let g = generators::grid2d(6, 6);
@@ -525,12 +366,10 @@ mod tests {
             OracleStats {
                 point_queries: 3,
                 cache_hits: 2,
-                traversals: o.bfs_runs(),
-                cached_rows: o.cached_rows(),
+                traversals: 1,
+                cached_rows: 1,
             }
         );
-        assert_eq!(s.traversals, 1);
-        assert_eq!(s.cached_rows, 1);
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         // The batch path counts traversals but no point queries.
         let pool = nas_par::WorkerPool::new(2);
@@ -539,7 +378,7 @@ mod tests {
         assert_eq!(o.stats().point_queries, 3);
 
         let wg = nas_graph::WeightedGraph::uniform(g, 2);
-        let mut w = WeightedSpannerOracle::new(wg);
+        let mut w = SpannerOracle::weighted(wg);
         assert_eq!(w.stats(), OracleStats::default());
         w.distance(0, 35);
         w.distance(35, 0);
@@ -548,36 +387,10 @@ mod tests {
             OracleStats {
                 point_queries: 2,
                 cache_hits: 1,
-                traversals: w.sssp_runs(),
-                cached_rows: w.cached_rows(),
+                traversals: 1,
+                cached_rows: 1,
             }
         );
-        assert_eq!(w.stats().traversals, 1);
-    }
-
-    #[test]
-    fn compare_reports_errors() {
-        // Spanner = path, graph = cycle: pair (0, n-1) has error n-2.
-        let n = 8;
-        let g = generators::cycle(n);
-        let mut b = nas_graph::GraphBuilder::new(n);
-        for v in 1..n {
-            b.add_edge(v - 1, v);
-        }
-        let mut o = SpannerOracle::new(b.build());
-        let q = compare(&g, &mut o, &[(0, n - 1), (0, 1)]);
-        assert_eq!(q[0].unwrap().additive_error as usize, n - 2);
-        assert_eq!(q[1].unwrap().additive_error, 0);
-    }
-
-    #[test]
-    fn disconnected_pairs_in_g_are_none() {
-        let mut b = nas_graph::GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        let g = b.build();
-        let mut o = SpannerOracle::new(g.clone());
-        let q = compare(&g, &mut o, &[(0, 3)]);
-        assert_eq!(q[0], None);
     }
 
     /// The weighted oracle answers point queries with exact weighted
@@ -588,17 +401,21 @@ mod tests {
         use nas_graph::weighted::WeightDist;
         let g = generators::weighted_gnp(60, 0.08, 3, WeightDist::Uniform { lo: 1, hi: 30 });
         let reference = nas_graph::sssp::dijkstra(&g, [0]);
-        let mut o = WeightedSpannerOracle::new(g.clone());
+        let mut o = SpannerOracle::weighted(g.clone());
         for v in 0..60 {
             assert_eq!(o.distance(0, v), reference.get(v), "vertex {v}");
         }
-        assert_eq!(o.sssp_runs(), 1, "one cached row answers all queries");
+        assert_eq!(
+            o.stats().traversals,
+            1,
+            "one cached row answers all queries"
+        );
         // Reversed endpoints hit the same row by symmetry.
         assert_eq!(o.distance(17, 0), reference.get(17));
-        assert_eq!(o.sssp_runs(), 1);
+        assert_eq!(o.stats().traversals, 1);
         // A genuinely new source traverses again.
         o.distance(5, 9);
-        assert_eq!(o.sssp_runs(), 2);
+        assert_eq!(o.stats().traversals, 2);
     }
 
     /// The weighted batch path matches point queries row for row at every
@@ -609,7 +426,7 @@ mod tests {
         let g = generators::weighted_grid2d(7, 7, 11, WeightDist::Uniform { lo: 1, hi: 9 });
         let sources = [0usize, 13, 25, 48, 13];
         let want: Vec<Vec<u32>> = {
-            let mut o = WeightedSpannerOracle::new(g.clone());
+            let mut o = SpannerOracle::weighted(g.clone());
             sources
                 .iter()
                 .map(|&s| o.distance_map_from(s).raw().to_vec())
@@ -617,7 +434,7 @@ mod tests {
         };
         for threads in [1usize, 2, 4] {
             let pool = nas_par::WorkerPool::new(threads);
-            let mut o = WeightedSpannerOracle::new(g.clone());
+            let mut o = SpannerOracle::weighted(g.clone());
             let mut out = nas_graph::DistanceBatch::new();
             for round in 0..3 {
                 o.distances_batch_into(&sources, &mut out, &pool);
@@ -629,11 +446,11 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(o.sssp_runs(), 3 * sources.len() as u64);
+            assert_eq!(o.stats().traversals, 3 * sources.len() as u64);
             // The cache holds the last batched row.
-            let runs = o.sssp_runs();
+            let runs = o.stats().traversals;
             assert_eq!(o.distance(13, 40), out.get(4, 40));
-            assert_eq!(o.sssp_runs(), runs);
+            assert_eq!(o.stats().traversals, runs);
         }
     }
 
@@ -645,8 +462,9 @@ mod tests {
         let g = generators::connected_gnp(50, 0.1, 8);
         let wg = nas_graph::WeightedGraph::uniform(g.clone(), 1);
         let mut plain = SpannerOracle::new(g);
-        let mut weighted = WeightedSpannerOracle::new(wg);
-        assert_eq!(weighted.delta(), 1);
+        let mut weighted = SpannerOracle::weighted(wg);
+        assert_eq!(weighted.delta(), Some(1));
+        assert_eq!(plain.delta(), None);
         for s in [0usize, 7, 23, 49] {
             assert_eq!(
                 weighted.distance_map_from(s).raw(),
@@ -660,7 +478,7 @@ mod tests {
     #[should_panic(expected = "delta must be at least 1")]
     fn weighted_oracle_rejects_zero_delta() {
         let g = nas_graph::WeightedGraph::uniform(generators::path(3), 1);
-        WeightedSpannerOracle::with_delta(g, 0);
+        SpannerOracle::with_delta(g, 0);
     }
 
     #[test]
@@ -671,10 +489,11 @@ mod tests {
             .run()
             .unwrap();
         let mut o = SpannerOracle::new(r.to_graph());
-        let pairs: Vec<(usize, usize)> = (0..70).map(|v| (0, v)).collect();
-        let q = compare(&g, &mut o, &pairs);
-        for entry in q.into_iter().flatten() {
-            assert!(entry.approx >= entry.exact);
+        let exact = DistanceMap::from_source(&g, 0);
+        for v in 0..70 {
+            let dg = exact.get(v).expect("connected_gnp is connected");
+            let dh = o.distance(0, v).expect("a spanner keeps G connected");
+            assert!(dh >= dg, "vertex {v}: d_H {dh} < d_G {dg}");
         }
     }
 }

@@ -81,7 +81,7 @@ fn one_shape() {
 
     // The plane kept doing real work the whole time.
     assert_eq!(out, warm);
-    assert_eq!(oracle.bfs_runs(), 33 * sources.len() as u64);
+    assert_eq!(oracle.stats().traversals, 33 * sources.len() as u64);
 }
 
 /// The same guarantee holds when the batch alternates between two graphs

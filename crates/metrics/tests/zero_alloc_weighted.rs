@@ -1,8 +1,8 @@
 //! Pins the weighted distance plane's zero-allocation guarantee on the
-//! audit path: after one warmup batch, repeated [`WeightedSpannerOracle`]
-//! batch audits (`distances_batch_into`) perform **zero** heap allocations
-//! — across all worker-pool lanes, with the full pooled fan-out and the
-//! delta-stepping bucket array active.
+//! audit path: after one warmup batch, repeated batch audits
+//! (`distances_batch_into`) of a weighted [`SpannerOracle`] perform
+//! **zero** heap allocations — across all worker-pool lanes, with the full
+//! pooled fan-out and the delta-stepping bucket array active.
 //!
 //! The unweighted twin is `tests/zero_alloc_audit.rs` (same counting
 //! global allocator technique); this file extends the guarantee to the
@@ -11,7 +11,7 @@
 
 use nas_graph::weighted::WeightDist;
 use nas_graph::{generators, DistanceBatch};
-use nas_metrics::WeightedSpannerOracle;
+use nas_metrics::SpannerOracle;
 use nas_par::WorkerPool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,7 +62,7 @@ fn one_shape() {
     // 4 lanes regardless of host cores: the cross-thread dispatch machinery
     // must itself stay allocation-free.
     let pool = Arc::new(WorkerPool::new(4));
-    let mut oracle = WeightedSpannerOracle::new(g);
+    let mut oracle = SpannerOracle::weighted(g);
     let sources: Vec<usize> = (0..64).map(|i| i * n / 64).collect();
     let mut out = DistanceBatch::new();
 
@@ -79,12 +79,12 @@ fn one_shape() {
     assert_eq!(
         after - before,
         0,
-        "steady-state WeightedSpannerOracle batch audit allocated"
+        "steady-state weighted SpannerOracle batch audit allocated"
     );
 
     // The plane kept doing real work the whole time.
     assert_eq!(out, warm);
-    assert_eq!(oracle.sssp_runs(), 33 * sources.len() as u64);
+    assert_eq!(oracle.stats().traversals, 33 * sources.len() as u64);
 }
 
 /// The same guarantee holds when the batch alternates between two weighted
@@ -94,8 +94,8 @@ fn alternating_shapes() {
     let big = generators::weighted_grid2d(30, 30, 5, WeightDist::Uniform { lo: 1, hi: 100 });
     let small = generators::weighted_path(150, 6, WeightDist::Uniform { lo: 1, hi: 9 });
     let pool = Arc::new(WorkerPool::new(3));
-    let mut big_oracle = WeightedSpannerOracle::new(big);
-    let mut small_oracle = WeightedSpannerOracle::new(small);
+    let mut big_oracle = SpannerOracle::weighted(big);
+    let mut small_oracle = SpannerOracle::weighted(small);
     let big_sources: Vec<usize> = (0..48).map(|i| i * 900 / 48).collect();
     let small_sources: Vec<usize> = (0..12).map(|i| i * 150 / 12).collect();
     let mut out_big = DistanceBatch::new();

@@ -19,7 +19,7 @@ pub fn health(ctx: &Ctx<'_>) -> Response {
 }
 
 /// `GET /stats` — the current snapshot's build record, both oracles'
-/// unified [`OracleStats`], and the server's request counters.
+/// [`OracleStats`], and the server's request counters.
 pub fn stats(ctx: &Ctx<'_>) -> Response {
     let snap = ctx.store.snapshot();
     let (exact, spanner) = snap.oracle_stats();

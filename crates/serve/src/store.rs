@@ -14,17 +14,18 @@
 //! pre-swap state — the consistency contract the integration tests pin —
 //! and the old snapshot is freed when its last reader drops it.
 //!
-//! Each snapshot owns a [`SpannerOracle`] pair (or the weighted twins):
-//! one over the base graph `G` for exact distances, one over the spanner
-//! `H`. Both keep their single-row caches and pooled batch scratch warm
-//! behind one mutex, so the zero-alloc steady state of the flat distance
-//! plane carries over to a long-lived server: repeated `/batch` requests
-//! of the same shape allocate nothing new.
+//! Each snapshot owns a [`SpannerOracle`] pair, hop or weighted as the
+//! spec's weight setting picks: one over the base graph `G` for exact
+//! distances, one over the spanner `H`. Both keep their single-row caches
+//! and pooled batch scratch warm behind one mutex, so the zero-alloc
+//! steady state of the flat distance plane carries over to a long-lived
+//! server: repeated `/batch` requests of the same shape allocate nothing
+//! new.
 
 use nas_core::{Backend, Params, Session, SessionError, StretchSummary};
 use nas_graph::dist::DistanceBatch;
 use nas_graph::{generators, Graph, WeightDist, WeightedGraph};
-use nas_metrics::{OracleStats, SpannerOracle, WeightedSpannerOracle};
+use nas_metrics::{OracleStats, SpannerOracle};
 use nas_par::WorkerPool;
 use std::collections::HashMap;
 use std::fmt;
@@ -127,15 +128,30 @@ impl Default for BuildSpec {
 
 impl BuildSpec {
     /// Materializes the base graph this spec describes: generated for the
-    /// synthetic families, streamed off disk for [`Workload::File`].
+    /// synthetic families, streamed off disk for [`Workload::File`]. A
+    /// size the generator cannot build (a torus side below 3, or no more
+    /// vertices than preferential-attachment edges per vertex) is an
+    /// [`BuildError::InvalidSpec`], not a panic.
     pub fn build_graph(&self) -> Result<Graph, BuildError> {
         let side = (self.n as f64).sqrt().round().max(2.0) as usize;
+        let attach = (self.deg / 2).max(1);
+        let too_small = |need: String| {
+            Err(BuildError::InvalidSpec(format!(
+                "{} needs {need}, got n = {}",
+                self.workload.name(),
+                self.n
+            )))
+        };
         Ok(match self.workload {
             Workload::Gnp => generators::gnp(self.n, self.deg as f64 / self.n as f64, self.seed),
             Workload::Grid => generators::grid2d(side, side),
             Workload::Path => generators::path(self.n),
-            Workload::PrefAttach => {
-                generators::preferential_attachment(self.n, (self.deg / 2).max(1), self.seed)
+            Workload::PrefAttach if self.n <= attach => {
+                return too_small(format!("n > max(deg / 2, 1) = {attach}"));
+            }
+            Workload::PrefAttach => generators::preferential_attachment(self.n, attach, self.seed),
+            Workload::Torus if side < 3 => {
+                return too_small("n >= 7 (a side of at least 3)".into())
             }
             Workload::Torus => generators::torus2d(side, side),
             Workload::File => {
@@ -291,7 +307,10 @@ impl std::error::Error for QueryError {}
 /// the pooled batch buffers, reused across requests so the steady state
 /// allocates nothing new.
 struct QueryState {
-    oracles: Oracles,
+    /// Exact distances: the oracle over the base graph `G`.
+    exact: SpannerOracle,
+    /// Spanner distances: the oracle over `H`.
+    spanner: SpannerOracle,
     /// Deduplicated batch sources (reused).
     sources: Vec<usize>,
     /// source vertex → row index in the batch fills (reused; cleared per
@@ -299,65 +318,6 @@ struct QueryState {
     source_slot: HashMap<usize, usize>,
     exact_batch: DistanceBatch,
     spanner_batch: DistanceBatch,
-}
-
-/// The oracle pair, in whichever flavor the spec's weight setting picked.
-enum Oracles {
-    Unweighted {
-        exact: SpannerOracle,
-        spanner: SpannerOracle,
-    },
-    Weighted {
-        exact: WeightedSpannerOracle,
-        spanner: WeightedSpannerOracle,
-    },
-}
-
-impl Oracles {
-    fn point(&mut self, graph: Which, u: usize, v: usize) -> Option<u32> {
-        match (self, graph) {
-            (Oracles::Unweighted { exact, .. }, Which::Exact) => exact.distance(u, v),
-            (Oracles::Unweighted { spanner, .. }, Which::Spanner) => spanner.distance(u, v),
-            (Oracles::Weighted { exact, .. }, Which::Exact) => exact.distance(u, v),
-            (Oracles::Weighted { spanner, .. }, Which::Spanner) => spanner.distance(u, v),
-        }
-    }
-
-    fn fill_batch(
-        &mut self,
-        graph: Which,
-        sources: &[usize],
-        out: &mut DistanceBatch,
-        pool: &WorkerPool,
-    ) {
-        match (self, graph) {
-            (Oracles::Unweighted { exact, .. }, Which::Exact) => {
-                exact.distances_batch_into(sources, out, pool)
-            }
-            (Oracles::Unweighted { spanner, .. }, Which::Spanner) => {
-                spanner.distances_batch_into(sources, out, pool)
-            }
-            (Oracles::Weighted { exact, .. }, Which::Exact) => {
-                exact.distances_batch_into(sources, out, pool)
-            }
-            (Oracles::Weighted { spanner, .. }, Which::Spanner) => {
-                spanner.distances_batch_into(sources, out, pool)
-            }
-        }
-    }
-
-    fn stats(&self) -> (OracleStats, OracleStats) {
-        match self {
-            Oracles::Unweighted { exact, spanner } => (exact.stats(), spanner.stats()),
-            Oracles::Weighted { exact, spanner } => (exact.stats(), spanner.stats()),
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Which {
-    Exact,
-    Spanner,
 }
 
 /// One immutable build result plus its warm query machinery — what every
@@ -410,17 +370,15 @@ impl Snapshot {
         let n = graph.num_vertices();
         let graph_edges = graph.num_edges();
         let spanner_edges = report.num_edges();
-        let oracles = match spec.weights {
-            None => Oracles::Unweighted {
-                spanner: SpannerOracle::new(report.to_graph()),
-                exact: SpannerOracle::new(graph),
-            },
+        let (exact, spanner) = match spec.weights {
+            None => (
+                SpannerOracle::new(graph),
+                SpannerOracle::new(report.to_graph()),
+            ),
             Some(dist) => {
                 let weighted = WeightedGraph::from_graph(graph, dist, spec.seed);
-                Oracles::Weighted {
-                    spanner: WeightedSpannerOracle::new(report.to_weighted_graph(&weighted)),
-                    exact: WeightedSpannerOracle::new(weighted),
-                }
+                let spanner = SpannerOracle::weighted(report.to_weighted_graph(&weighted));
+                (SpannerOracle::weighted(weighted), spanner)
             }
         };
         Ok(Snapshot {
@@ -434,7 +392,8 @@ impl Snapshot {
             stretch: report.stretch,
             spec,
             state: Mutex::new(QueryState {
-                oracles,
+                exact,
+                spanner,
                 sources: Vec::new(),
                 source_slot: HashMap::new(),
                 exact_batch: DistanceBatch::new(),
@@ -462,12 +421,8 @@ impl Snapshot {
         self.check(v)?;
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         Ok(PairAnswer {
-            exact: mode
-                .wants_exact()
-                .then(|| st.oracles.point(Which::Exact, u, v)),
-            spanner: mode
-                .wants_spanner()
-                .then(|| st.oracles.point(Which::Spanner, u, v)),
+            exact: mode.wants_exact().then(|| st.exact.distance(u, v)),
+            spanner: mode.wants_spanner().then(|| st.spanner.distance(u, v)),
         })
     }
 
@@ -490,7 +445,8 @@ impl Snapshot {
         }
         let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let QueryState {
-            oracles,
+            exact,
+            spanner,
             sources,
             source_slot,
             exact_batch,
@@ -509,10 +465,10 @@ impl Snapshot {
             return Ok(Vec::new());
         }
         if mode.wants_exact() {
-            oracles.fill_batch(Which::Exact, sources, exact_batch, pool);
+            exact.distances_batch_into(sources, exact_batch, pool);
         }
         if mode.wants_spanner() {
-            oracles.fill_batch(Which::Spanner, sources, spanner_batch, pool);
+            spanner.distances_batch_into(sources, spanner_batch, pool);
         }
         Ok(pairs
             .iter()
@@ -526,13 +482,10 @@ impl Snapshot {
             .collect())
     }
 
-    /// The unified counter snapshots of the `(exact, spanner)` oracles.
+    /// The counter snapshots of the `(exact, spanner)` oracles.
     pub fn oracle_stats(&self) -> (OracleStats, OracleStats) {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .oracles
-            .stats()
+        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        (st.exact.stats(), st.spanner.stats())
     }
 }
 

@@ -117,8 +117,8 @@ fn errors_are_structured_not_fatal() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     // 404, 405, missing params, out-of-range vertex, bad JSON, unknown
-    // rebuild field, a κ past u32 — all structured, all leave the daemon
-    // serving.
+    // rebuild field, a κ past u32, graphs too small for their generator —
+    // all structured, all leave the daemon serving.
     assert_eq!(client.get("/nope").expect("404").status, 404);
     assert_eq!(client.post("/distance", "{}").expect("405").status, 405);
     assert_eq!(client.get("/distance?src=0").expect("400").status, 400);
@@ -145,6 +145,13 @@ fn errors_are_structured_not_fatal() {
         .expect("kappa past u32");
     assert_eq!(resp.status, 400);
     assert!(resp.body.contains("kappa"), "body: {}", resp.body);
+    for body in [
+        r#"{"workload":"torus","n":4}"#,
+        r#"{"workload":"pref_attach","n":10,"deg":40}"#,
+    ] {
+        let resp = client.post("/rebuild", body).expect("too small");
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+    }
     // A failed rebuild must not bump the epoch.
     let health = client.get("/health").expect("health");
     assert_eq!(health.status, 200);

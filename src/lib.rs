@@ -12,7 +12,7 @@
 //! * [`core`] — the spanner construction itself (three backends plus a
 //!   LOCAL-model costing);
 //! * [`baselines`] — EN17, Baswana–Sen, greedy;
-//! * [`metrics`] — stretch audits, oracles, experiment reporting.
+//! * [`metrics`] — stretch audits and the distance oracle.
 //!
 //! # Quickstart
 //!

@@ -7,7 +7,7 @@ use nas_core::{Params, Session};
 use nas_graph::weighted::WeightDist;
 use nas_graph::{generators, WeightedGraph};
 use nas_metrics::{
-    stretch_audit, stretch_audit_weighted, stretch_audit_weighted_sampled, WeightedSpannerOracle,
+    stretch_audit, stretch_audit_weighted, stretch_audit_weighted_sampled, SpannerOracle,
 };
 
 /// The full weighted loop: weighted graph → weight-agnostic construction →
@@ -89,10 +89,10 @@ fn weighted_oracle_over_session_spanner() {
     let g = generators::weighted_grid2d(8, 8, 5, WeightDist::Uniform { lo: 1, hi: 20 });
     let report = Session::on_weighted(&g).run().unwrap();
     let h = report.to_weighted_graph(&g);
-    let mut oracle = WeightedSpannerOracle::new(h.clone());
+    let mut oracle = SpannerOracle::weighted(h.clone());
     let reference = nas_graph::sssp::dijkstra(&h, [0]);
     for v in 0..g.num_vertices() {
         assert_eq!(oracle.distance(0, v), reference.get(v), "vertex {v}");
     }
-    assert_eq!(oracle.sssp_runs(), 1);
+    assert_eq!(oracle.stats().traversals, 1);
 }
