@@ -10,7 +10,7 @@
 //! bounded BFS; with uniform weights it reproduces [`greedy_spanner`]
 //! exactly.
 
-use nas_graph::{EdgeSet, EpochMarks, Graph, GraphBuilder, WeightedGraph};
+use nas_graph::{EdgeSet, EpochMarks, Graph, WeightedGraph};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -71,16 +71,6 @@ pub fn greedy_spanner(g: &Graph, kappa: u32) -> EdgeSet {
         }
     }
     h
-}
-
-/// Convenience: materializes the greedy spanner as a graph directly.
-pub fn greedy_spanner_graph(g: &Graph, kappa: u32) -> Graph {
-    let h = greedy_spanner(g, kappa);
-    let mut b = GraphBuilder::with_capacity(g.num_vertices(), h.len());
-    for (u, v) in h.iter() {
-        b.add_edge(u, v);
-    }
-    b.build()
 }
 
 /// Builds the greedy `(2κ−1)`-spanner of a **weighted** graph: the

@@ -13,7 +13,7 @@ use nas_bench::BenchCli;
 use nas_core::algo1::algo1_centralized;
 use nas_graph::generators;
 use nas_metrics::TableBuilder;
-use nas_ruling::{ruling_set_centralized, RulingParams};
+use nas_ruling::{ruling_set_centralized, verify_ruling_set, RulingParams};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -43,60 +43,26 @@ fn main() {
         let w = info.popular.clone();
         let c = 3; // ⌈1/ρ⌉ at ρ = 0.45
         let q = u32::try_from(2 * delta).unwrap();
-        let rs = ruling_set_centralized(&g, &w, RulingParams::new(q, c));
-
-        // Min pairwise distance among members.
-        let mut min_pair = u32::MAX;
-        let mut d = nas_graph::DistanceMap::new();
-        let mut scratch = nas_graph::BfsScratch::new();
-        for (i, &a) in rs.members.iter().enumerate() {
-            d.fill(&g, [a], &mut scratch);
-            for &b in &rs.members[i + 1..] {
-                if let Some(dab) = d.get(b) {
-                    min_pair = min_pair.min(dab);
-                }
-            }
-        }
-        // Ball disjointness: no vertex within δ of two members.
-        let mut owner: Vec<Option<u32>> = vec![None; g.num_vertices()];
-        let mut disjoint = true;
-        for &a in &rs.members {
-            d.fill(&g, [a], &mut scratch);
-            for (v, slot) in owner.iter_mut().enumerate() {
-                if d.get(v).is_some_and(|x| x as u64 <= delta) {
-                    if slot.is_some() {
-                        disjoint = false;
-                    }
-                    *slot = Some(a as u32);
-                }
-            }
-        }
-        // Domination: every popular center within 2cδ of some member.
-        let dom = nas_graph::DistanceMap::from_sources(&g, rs.members.iter().copied());
-        let max_dom = w
-            .iter()
-            .map(|&v| dom.get(v).unwrap_or(u32::MAX))
-            .max()
-            .unwrap_or(0);
+        let params = RulingParams::new(q, c);
+        let rs = ruling_set_centralized(&g, &w, params);
+        // Separation ≥ 2δ+1 (so the δ-balls are disjoint) and domination
+        // ≤ 2cδ, or a named violation.
+        let cert = verify_ruling_set(&g, &w, params, &rs)
+            .unwrap_or_else(|v| panic!("Theorem 2.2 violated at δ = {delta}: {v:?}"));
+        // Two δ-balls are disjoint iff their centers are more than 2δ apart.
+        let disjoint = cert.min_separation.is_none_or(|d| d as u64 > 2 * delta);
 
         t.row(vec![
             delta.to_string(),
             deg.to_string(),
             w.len().to_string(),
             rs.members.len().to_string(),
-            if min_pair == u32::MAX {
-                "—".into()
-            } else {
-                min_pair.to_string()
-            },
+            cert.min_separation.map_or("—".into(), |d| d.to_string()),
             (2 * delta + 1).to_string(),
             disjoint.to_string(),
-            max_dom.to_string(),
+            cert.max_domination.to_string(),
             (2 * c as u64 * delta).to_string(),
         ]);
-        assert!(min_pair == u32::MAX || min_pair as u64 > 2 * delta);
-        assert!(disjoint, "δ-balls overlap — separation broken");
-        assert!(w.is_empty() || (max_dom as u64) <= 2 * c as u64 * delta);
     }
     println!("{}", t.render());
     println!("Figure 3's disjointness: holds at every sweep point ✓");

@@ -215,6 +215,18 @@ impl<'a> RoundCtx<'a> {
         self.neighbors[port] as usize
     }
 
+    /// The port behind neighbor `id` (a binary search: neighbor lists are
+    /// sorted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a neighbor of this node.
+    pub fn port_of(&self, id: u32) -> usize {
+        let port = self.neighbors.partition_point(|&u| u < id);
+        assert!(self.neighbors.get(port) == Some(&id), "no port for {id}");
+        port
+    }
+
     /// Messages delivered to this node this round (sent in the previous
     /// round), ordered by sender id.
     #[inline]

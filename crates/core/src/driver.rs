@@ -48,7 +48,7 @@ use crate::session::{Conduit, SessionError};
 use nas_congest::{RunHooks, RunStats};
 use nas_graph::{CompactGraph, EdgeSet, Graph};
 use nas_par::WorkerPool;
-use nas_ruling::RulingParams;
+use nas_ruling::{verify_ruling_set, RulingParams};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -214,6 +214,12 @@ pub(crate) fn build_with_engine_ctl<E: PhaseEngine>(
             let rp = RulingParams::new(q.max(1), schedule.ruling_c);
             let rs = engine.ruling_set(g, &w_i, rp, &mut hooks(ctl, pool, store));
             ctl.bail()?;
+            // Theorem 2.2, certified in O(n + m) on every debug build.
+            if cfg!(debug_assertions) {
+                if let Err(v) = verify_ruling_set(g, &w_i, rp, &rs) {
+                    panic!("Theorem 2.2 violated in phase {i}: {v:?}");
+                }
+            }
             let depth = schedule.sc_depth(i);
             let sc = engine.supercluster(
                 g,

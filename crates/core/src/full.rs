@@ -164,7 +164,7 @@ impl NodeProgram for FullProtocol {
         }
         if !concluding && r == w.sc {
             let ruling = self.ruling.as_ref().expect("ruling ran");
-            self.is_root = ruling.in_w() && ruling.is_member();
+            self.is_root = ruling.is_member();
             self.sc = Some(SuperclusterProtocol::new_at(
                 self.is_root,
                 self.is_center,

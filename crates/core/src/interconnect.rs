@@ -114,24 +114,6 @@ impl<K: Borrow<Knowledge>> TraceProtocol<K> {
         self.pending.is_empty()
     }
 
-    fn port_of(ctx: &RoundCtx<'_>, id: u32) -> usize {
-        let mut lo = 0usize;
-        let mut hi = ctx.degree();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if (ctx.neighbor(mid) as u32) < id {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        assert!(
-            lo < ctx.degree() && ctx.neighbor(lo) as u32 == id,
-            "no port for {id}"
-        );
-        lo
-    }
-
     /// Enqueues a trace for `c` toward this node's parent for `c`.
     fn enqueue(&mut self, ctx: &RoundCtx<'_>, c: u32) {
         match self.forwarded.binary_search(&c) {
@@ -142,7 +124,7 @@ impl<K: Borrow<Knowledge>> TraceProtocol<K> {
             Some(e) => e.parent,
             None => panic!("node {} asked to trace unknown center {c}", ctx.id()),
         };
-        let port = Self::port_of(ctx, parent);
+        let port = ctx.port_of(parent);
         self.marked.push((ctx.id() as u32, parent));
         self.pending.push((port as u32, c));
     }
@@ -159,7 +141,7 @@ impl<K: Borrow<Knowledge>> NodeProgram for TraceProtocol<K> {
                 let knowledge = self.knowledge.borrow();
                 self.initiated = knowledge.len();
                 for (&c, e) in knowledge {
-                    let port = Self::port_of(ctx, e.parent);
+                    let port = ctx.port_of(e.parent);
                     self.marked.push((ctx.id() as u32, e.parent));
                     self.pending.push((port as u32, c));
                 }

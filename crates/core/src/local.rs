@@ -35,7 +35,7 @@ use crate::interconnect::{interconnect_centralized, Interconnection};
 use crate::supercluster::{supercluster_centralized, Superclustering};
 use nas_congest::{RunHooks, RunStats};
 use nas_graph::Graph;
-use nas_ruling::{ruling_set_centralized, RulingParams, RulingSet};
+use nas_ruling::{ruling_set_centralized, RulingParams, RulingProtocol, RulingSet};
 
 /// LOCAL-model backend: centralized execution of every primitive, with
 /// exact LOCAL round accounting and the unbounded-bandwidth popularity rule
@@ -95,9 +95,7 @@ impl PhaseEngine for LocalEngine {
         // implementation's early exit, so LOCAL and CONGEST accounting stay
         // comparable.
         if !w.is_empty() {
-            let n = g.num_vertices();
-            let m = (n as f64).powf(1.0 / params.c as f64).ceil() as u64;
-            self.charge(params.c as u64 * m * (params.q as u64 + 1));
+            self.charge(RulingProtocol::total_rounds(g.num_vertices(), params));
         }
         ruling_set_centralized(g, w, params)
     }
@@ -227,6 +225,21 @@ mod tests {
         // slightly (parent tie-breaks), sizes must be in the same ballpark.
         let (a, b) = (local.spanner.len() as f64, congest.spanner.len() as f64);
         assert!(a <= 1.5 * b + 10.0 && b <= 1.5 * a + 10.0, "{a} vs {b}");
+    }
+
+    #[test]
+    fn ruling_set_is_charged_its_digit_schedule() {
+        // 3125 = 5^5: the digit base at c = 5 is exactly 5, so the schedule
+        // runs c·m·(q+1) = 5·5·3 rounds.
+        let g = generators::path(3125);
+        let mut engine = LocalEngine::new();
+        engine.ruling_set(
+            &g,
+            &[0, 1000, 2000],
+            RulingParams::new(2, 5),
+            &mut RunHooks::none(),
+        );
+        assert_eq!(engine.take_phase_rounds(), 75);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! | [`Session::eps`] (or [`Session::params`]) | `ε` — multiplicative stretch slack | the spanner is a `(1+ε, β)`-spanner; smaller `ε` means tighter stretch but more phases and a larger `β` |
 //! | [`Session::kappa`] | `κ` — size exponent | the spanner has `O(β·n^{1+1/κ})` edges |
 //! | [`Session::rho`] | `ρ` — time exponent | the CONGEST construction runs in `O(β·n^ρ·ρ⁻¹)` rounds; must satisfy `1/κ ≤ ρ < 1/2` |
-//! | [`Session::paper_mode`] | §2.4.4 constants | rescales `ε` internally by `30ℓ/ρ` (worst-case-faithful, unrunnably large thresholds); the default practical mode uses `ε` directly |
 //!
 //! The additive term `β` is **derived**, not chosen: the returned
 //! [`Report::stretch`] carries the nominal `(α, β)` of Corollary 2.17 and
@@ -66,7 +65,7 @@ use crate::driver::{build_with_engine_ctl, PhaseStats, SpannerResult};
 use crate::engine::{CentralizedEngine, CongestEngine};
 use crate::full::run_full_ctl;
 use crate::local::LocalEngine;
-use crate::params::{Mode, ParamError, Params, Schedule};
+use crate::params::{ParamError, Params, Schedule};
 use nas_congest::{RoundInfo, RoundObserver, RunStats};
 use nas_graph::{CompactGraph, EdgeSet, Graph, WeightedGraph};
 use nas_par::WorkerPool;
@@ -667,13 +666,6 @@ impl<'g, 'o> Session<'g, 'o> {
     /// satisfy `1/κ ≤ ρ < 1/2` (validated at [`Session::run`]).
     pub fn rho(mut self, rho: f64) -> Self {
         self.params.rho = rho;
-        self
-    }
-
-    /// Switches to the paper's exact §2.4.4 constants (`ε` rescaled by
-    /// `30ℓ/ρ`). The default is [`Mode::Practical`].
-    pub fn paper_mode(mut self) -> Self {
-        self.params.mode = Mode::Paper;
         self
     }
 

@@ -127,25 +127,6 @@ impl SuperclusterProtocol {
             }
         })
     }
-
-    fn port_of(&self, ctx: &RoundCtx<'_>, id: u32) -> usize {
-        // Neighbor lists are sorted; binary search for the port.
-        let mut lo = 0usize;
-        let mut hi = ctx.degree();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if (ctx.neighbor(mid) as u32) < id {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        assert!(
-            lo < ctx.degree() && ctx.neighbor(lo) as u32 == id,
-            "no port for {id}"
-        );
-        lo
-    }
 }
 
 impl NodeProgram for SuperclusterProtocol {
@@ -198,7 +179,7 @@ impl NodeProgram for SuperclusterProtocol {
             self.confirmed = true;
             if let Some((_, parent)) = self.claim {
                 if parent != ctx.id() as u32 {
-                    let port = self.port_of(ctx, parent);
+                    let port = ctx.port_of(parent);
                     self.marked.push((ctx.id() as u32, parent));
                     // A parent only tests "any confirm arrived?", so confirms
                     // from several children OR together into one slot.

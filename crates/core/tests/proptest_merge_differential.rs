@@ -105,8 +105,8 @@ proptest! {
         }
     }
 
-    /// The ruling-set protocol (`Merge::Min` on kill waves): membership and
-    /// killer pointers agree with the unmerged baseline.
+    /// The ruling-set protocol (`Merge::Min` on kill waves): membership
+    /// agrees with the unmerged baseline.
     #[test]
     fn ruling_output_matches_unmerged_reference(
         g in arb_graph(),
@@ -126,7 +126,6 @@ proptest! {
                     got[v].is_member(), want[v].is_member(),
                     "membership diverges at v={} (lanes={}, bcast={})", v, lanes, bcast
                 );
-                prop_assert_eq!(got[v].killer(), want[v].killer(), "killer at v={}", v);
             }
         }
     }

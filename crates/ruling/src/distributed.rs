@@ -12,9 +12,8 @@
 //! bandwidth is one word per round — a legal CONGEST protocol, enforced by
 //! the simulator.
 
-use crate::centralized::assemble;
 use crate::digits::DigitPlan;
-use crate::result::{RulingParams, RulingSet};
+use crate::result::{in_w_mask, RulingParams, RulingSet};
 use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, SimArena, Simulator};
 use nas_graph::Graph;
 
@@ -26,13 +25,12 @@ use nas_graph::Graph;
 pub struct RulingProtocol {
     plan: DigitPlan,
     q: u32,
-    in_w: bool,
+    /// In `W` and not yet killed; starts as `W` membership.
     active: bool,
-    killer: Option<u32>,
-    /// Wave origin seen, tagged with the sub-phase it was seen in (dedup
-    /// flag). Tagging instead of resetting at each sub-phase start lets the
+    /// The last sub-phase in which this node saw a wave (dedup flag).
+    /// Tagging instead of resetting at each sub-phase start lets the
     /// active-set scheduler skip passive nodes at sub-phase boundaries.
-    wave_seen: Option<(u64, u64)>,
+    wave_seen: Option<u64>,
     /// Global round of this node's next spontaneous wave launch, or `None`
     /// once the digit schedule holds no further launches for it. Recomputed
     /// on every visit; consumed by [`NodeProgram::next_wake`].
@@ -54,9 +52,7 @@ impl RulingProtocol {
         RulingProtocol {
             plan: DigitPlan::new(n, params.c),
             q: params.q,
-            in_w,
             active: in_w,
-            killer: None,
             wave_seen: None,
             // Fresh `W` members hold a pending appointment at the schedule
             // start so a pre-step quiescence probe cannot declare the
@@ -72,20 +68,10 @@ impl RulingProtocol {
         plan.count() as u64 * plan.base() * (params.q as u64 + 1)
     }
 
-    /// Whether this node survived (is a ruling-set member). Meaningful only
-    /// after the full schedule has run.
+    /// Whether this node survived (is a ruling-set member, hence in `W`).
+    /// Meaningful only after the full schedule has run.
     pub fn is_member(&self) -> bool {
         self.active
-    }
-
-    /// The killer recorded when this node was deactivated.
-    pub fn killer(&self) -> Option<u32> {
-        self.killer
-    }
-
-    /// Whether this node is in the input set `W`.
-    pub fn in_w(&self) -> bool {
-        self.in_w
     }
 
     /// Decomposes a global round number into
@@ -139,13 +125,13 @@ impl NodeProgram for RulingProtocol {
             return; // schedule exhausted
         }
         let subphase = local / (self.q as u64 + 1);
-        let seen_this_subphase = self.wave_seen.is_some_and(|(sp, _)| sp == subphase);
+        let seen_this_subphase = self.wave_seen == Some(subphase);
         if offset == 0 {
             // Sub-phase start: sources launch their wave. (Passive nodes
             // need not be visited here: their stale `wave_seen` tag can't
             // match the new sub-phase.)
             if self.active && self.plan.digit(ctx.id() as u64, i) == b {
-                self.wave_seen = Some((subphase, ctx.id() as u64));
+                self.wave_seen = Some(subphase);
                 // A receiver only takes the minimum origin id over its inbox,
                 // so colliding waves merge losslessly (`Merge::Min`).
                 ctx.send_all(Msg::one(ctx.id() as u64).merged(Merge::Min));
@@ -158,10 +144,9 @@ impl NodeProgram for RulingProtocol {
                 .map(|m| m.msg.word(0))
                 .min()
                 .expect("inbox non-empty");
-            self.wave_seen = Some((subphase, origin));
+            self.wave_seen = Some(subphase);
             if self.active && self.plan.digit(ctx.id() as u64, i) > b {
                 self.active = false;
-                self.killer = Some(origin as u32);
             }
             if offset < self.q as u64 {
                 ctx.send_all(Msg::one(origin).merged(Merge::Min));
@@ -192,12 +177,11 @@ impl NodeProgram for RulingProtocol {
 ///
 /// The returned membership is identical to
 /// [`ruling_set_centralized`](crate::ruling_set_centralized) (asserted by the
-/// test suite); killer pointers may differ between the two implementations
-/// but both satisfy the `cq` domination radius.
+/// test suite and certified by [`verify_ruling_set`](crate::verify_ruling_set)).
 ///
 /// The run reports to `hooks`' round observer (which may cancel it) and
 /// attaches `hooks`' worker pool. When the observer cancels the run
-/// (`hooks.stopped`), the returned set is assembled from the truncated
+/// (`hooks.stopped`), the returned set is read from the truncated
 /// protocol state and is **not** a valid ruling set — callers must check
 /// `hooks.stopped` and discard it. Only the members of `w` act in the
 /// first round (see [`Simulator::install`]).
@@ -213,19 +197,9 @@ pub fn ruling_set_distributed(
     hooks: &mut RunHooks<'_>,
 ) -> (RulingSet, RunStats) {
     let n = g.num_vertices();
-    let mut in_w = vec![false; n];
-    for &v in w {
-        assert!(v < n, "W vertex {v} out of range");
-        in_w[v] = true;
-    }
-    if n == 0 || w.is_empty() {
-        return (
-            RulingSet {
-                members: Vec::new(),
-                ruler: vec![None; n],
-            },
-            RunStats::new(),
-        );
+    let in_w = in_w_mask(n, w);
+    if w.is_empty() {
+        return (RulingSet::default(), RunStats::new());
     }
     let programs: Vec<RulingProtocol> = (0..n)
         .map(|v| RulingProtocol::new(n, params, in_w[v]))
@@ -236,37 +210,19 @@ pub fn ruling_set_distributed(
     let stats = *sim.stats();
     let (programs, kept) = sim.into_parts();
     *arena = kept;
-    let active: Vec<bool> = programs.iter().map(|p| p.active).collect();
-    let killer: Vec<Option<u32>> = programs.iter().map(|p| p.killer).collect();
-    (assemble(n, &in_w, &active, &killer), stats)
+    let members = (0..n).filter(|&v| programs[v].is_member()).collect();
+    (RulingSet { members }, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::centralized::ruling_set_centralized;
-    use nas_graph::{generators, DistanceMap};
+    use crate::verify_ruling_set;
+    use nas_graph::generators;
 
     fn run(g: &Graph, w: &[usize], params: RulingParams) -> (RulingSet, RunStats) {
         ruling_set_distributed(g, w, params, &mut SimArena::new(), &mut RunHooks::none())
-    }
-
-    fn assert_valid(g: &Graph, w: &[usize], params: RulingParams, rs: &RulingSet) {
-        for (idx, &a) in rs.members.iter().enumerate() {
-            let d = DistanceMap::from_source(g, a);
-            for &b in &rs.members[idx + 1..] {
-                if let Some(dab) = d.get(b) {
-                    assert!(dab >= params.separation(), "sep violated: {a},{b} at {dab}");
-                }
-            }
-        }
-        for &v in w {
-            let r = rs.ruler[v].expect("ruler") as usize;
-            let d = DistanceMap::from_source(g, v)
-                .get(r)
-                .expect("reachable ruler");
-            assert!(d <= params.domination_radius());
-        }
     }
 
     #[test]
@@ -290,8 +246,7 @@ mod tests {
                 let (dist, stats) = run(g, &w, params);
                 assert_eq!(central.members, dist.members, "membership differs on n={n}");
                 assert_eq!(stats.rounds, RulingProtocol::total_rounds(n, params));
-                assert_valid(g, &w, params, &dist);
-                assert_valid(g, &w, params, &central);
+                verify_ruling_set(g, &w, params, &dist).unwrap();
             }
         }
     }
@@ -318,7 +273,7 @@ mod tests {
     fn empty_w_short_circuits() {
         let g = generators::path(5);
         let (rs, stats) = run(&g, &[], RulingParams::new(2, 2));
-        assert!(rs.is_empty());
+        assert!(rs.members.is_empty());
         assert_eq!(stats.rounds, 0);
     }
 

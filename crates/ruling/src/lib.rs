@@ -18,10 +18,10 @@
 //! `i = 0..c` (an **iteration**) and each digit value `b = 0..m` (a
 //! **sub-phase** of `q+1` rounds): active vertices whose `i`-th digit is `b`
 //! start a depth-`q` *kill wave* (a flooded, deduplicated BFS); an active
-//! vertex whose `i`-th digit is `> b` that hears a wave becomes inactive and
-//! records the wave's origin as its *killer*. Vertices whose sub-phase has
-//! already passed in this iteration are immune until the next iteration.
-//! Survivors of all `c` iterations form the ruling set.
+//! vertex whose `i`-th digit is `> b` that hears a wave becomes inactive,
+//! killed by the wave's origin. Vertices whose sub-phase has already passed
+//! in this iteration are immune until the next iteration. Survivors of all
+//! `c` iterations form the ruling set.
 //!
 //! **Separation `≥ q+1`:** suppose `x ≠ y` both survive and
 //! `d_G(x, y) ≤ q`. Their ids differ in some digit; in the first iteration
@@ -43,21 +43,29 @@
 //! ([`ruling_set_distributed`]) are provided; they compute identical
 //! memberships, which the test suite asserts.
 //!
+//! # The certificate
+//!
+//! [`verify_ruling_set`] checks both guarantees of any claimed ruling set
+//! with one multi-source BFS, in `O(n + m)` time, and returns either the
+//! measured separation and domination ([`RulingCertificate`]) or the first
+//! broken guarantee ([`RulingViolation`]). Debug builds of the spanner's
+//! phase loop certify every phase's ruling set with it.
+//!
 //! # Example
 //!
 //! ```
 //! use nas_graph::generators;
-//! use nas_ruling::{ruling_set_centralized, RulingParams};
+//! use nas_ruling::{ruling_set_centralized, verify_ruling_set, RulingParams};
 //!
 //! let g = generators::path(20);
 //! let w: Vec<usize> = (0..20).collect();
-//! let r = ruling_set_centralized(&g, &w, RulingParams::new(2, 2));
-//! // Members are pairwise at distance >= 3 on the path.
-//! let mut members = r.members.clone();
-//! members.sort_unstable();
-//! for pair in members.windows(2) {
-//!     assert!(pair[1] - pair[0] >= 3);
-//! }
+//! let params = RulingParams::new(2, 2);
+//! let rs = ruling_set_centralized(&g, &w, params);
+//! // Members are pairwise at distance >= 3 on the path, and every vertex
+//! // is within 4 of one.
+//! let cert = verify_ruling_set(&g, &w, params, &rs).expect("Theorem 2.2");
+//! assert!(cert.min_separation.is_some_and(|d| d >= 3));
+//! assert!(cert.max_domination <= 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,8 +75,10 @@ mod centralized;
 mod digits;
 mod distributed;
 mod result;
+mod verify;
 
 pub use centralized::ruling_set_centralized;
 pub use digits::DigitPlan;
 pub use distributed::{ruling_set_distributed, RulingProtocol};
 pub use result::{RulingParams, RulingSet};
+pub use verify::{verify_ruling_set, RulingCertificate, RulingViolation};

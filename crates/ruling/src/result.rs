@@ -27,41 +27,32 @@ impl RulingParams {
         self.q + 1
     }
 
-    /// The guaranteed maximum distance from any `W`-vertex to its ruler
-    /// (`c · q`).
+    /// The guaranteed maximum distance from any `W`-vertex to its nearest
+    /// member (`c · q`).
     pub fn domination_radius(&self) -> u32 {
         self.c * self.q
     }
 }
 
 /// The result of a ruling-set computation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RulingSet {
     /// The ruling set `A ⊆ W`, sorted ascending.
     pub members: Vec<usize>,
-    /// For every vertex: `Some(a)` if the vertex is in `W`, where `a ∈ A` is
-    /// its ruler (itself, for members); `None` for vertices outside `W`.
-    ///
-    /// The ruler is obtained by resolving killer chains, so
-    /// `d_G(w, ruler(w)) ≤ c·q` — the domination guarantee.
-    pub ruler: Vec<Option<u32>>,
 }
 
-impl RulingSet {
-    /// Whether vertex `v` is a member of the ruling set.
-    pub fn is_member(&self, v: usize) -> bool {
-        self.members.binary_search(&v).is_ok()
+/// The dense membership mask of `w` over the vertices `0..n`.
+///
+/// # Panics
+///
+/// Panics if a vertex of `w` is out of range.
+pub(crate) fn in_w_mask(n: usize, w: &[usize]) -> Vec<bool> {
+    let mut in_w = vec![false; n];
+    for &v in w {
+        assert!(v < n, "W vertex {v} out of range");
+        in_w[v] = true;
     }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the set is empty (true iff `W` was empty).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
+    in_w
 }
 
 #[cfg(test)]
@@ -79,17 +70,5 @@ mod tests {
     #[should_panic(expected = "q must be at least 1")]
     fn zero_q_panics() {
         RulingParams::new(0, 2);
-    }
-
-    #[test]
-    fn membership_queries() {
-        let rs = RulingSet {
-            members: vec![2, 7, 11],
-            ruler: vec![],
-        };
-        assert!(rs.is_member(7));
-        assert!(!rs.is_member(3));
-        assert_eq!(rs.len(), 3);
-        assert!(!rs.is_empty());
     }
 }

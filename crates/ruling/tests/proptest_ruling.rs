@@ -3,49 +3,16 @@
 //! with the centralized reference.
 
 use nas_congest::{RunHooks, SimArena};
-use nas_graph::{generators, DistanceMap, Graph};
-use nas_ruling::{ruling_set_centralized, ruling_set_distributed, RulingParams};
+use nas_graph::generators;
+use nas_ruling::{ruling_set_centralized, ruling_set_distributed, verify_ruling_set, RulingParams};
 use proptest::prelude::*;
-
-fn check_guarantees(g: &Graph, w: &[usize], params: RulingParams) {
-    let rs = ruling_set_centralized(g, w, params);
-    // A ⊆ W.
-    let wset: std::collections::HashSet<_> = w.iter().copied().collect();
-    for &m in &rs.members {
-        assert!(wset.contains(&m));
-    }
-    // Separation ≥ q+1 (only meaningful for pairs in the same component).
-    for (i, &a) in rs.members.iter().enumerate() {
-        let d = DistanceMap::from_source(g, a);
-        for &b in &rs.members[i + 1..] {
-            if let Some(dab) = d.get(b) {
-                assert!(
-                    dab >= params.separation(),
-                    "separation violated: {a} and {b} at distance {dab}"
-                );
-            }
-        }
-    }
-    // Domination ≤ cq.
-    for &v in w {
-        let r = rs.ruler[v].expect("every W vertex has a ruler") as usize;
-        assert!(rs.is_member(r));
-        let d = DistanceMap::from_source(g, v)
-            .get(r)
-            .expect("ruler is reachable");
-        assert!(
-            d <= params.domination_radius(),
-            "domination violated: {v} -> {r} at distance {d}"
-        );
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn guarantees_on_random_graphs(
-        n in 2usize..60,
+        n in 2usize..400,
         p in 0.02f64..0.3,
         seed in 0u64..1000,
         q in 1u32..5,
@@ -54,7 +21,9 @@ proptest! {
     ) {
         let g = generators::gnp(n, p, seed);
         let w: Vec<usize> = (0..n).filter(|v| v % w_mod == 0).collect();
-        check_guarantees(&g, &w, RulingParams::new(q, c));
+        let params = RulingParams::new(q, c);
+        let rs = ruling_set_centralized(&g, &w, params);
+        prop_assert_eq!(verify_ruling_set(&g, &w, params, &rs).err(), None);
     }
 
     #[test]
@@ -76,6 +45,7 @@ proptest! {
             &mut SimArena::new(),
             &mut RunHooks::none(),
         );
+        prop_assert_eq!(verify_ruling_set(&g, &w, params, &b).err(), None);
         prop_assert_eq!(a.members, b.members);
     }
 
@@ -89,7 +59,9 @@ proptest! {
         let g = generators::grid2d(rows, cols);
         let n = g.num_vertices();
         let w: Vec<usize> = (0..n).collect();
-        check_guarantees(&g, &w, RulingParams::new(q, c));
+        let params = RulingParams::new(q, c);
+        let rs = ruling_set_centralized(&g, &w, params);
+        prop_assert_eq!(verify_ruling_set(&g, &w, params, &rs).err(), None);
     }
 
     #[test]
