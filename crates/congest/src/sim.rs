@@ -193,7 +193,8 @@ impl<'a> RoundCtx<'a> {
         self.n
     }
 
-    /// The current round number (0-based, counted from simulator creation).
+    /// The current round number (0-based, counted from simulator creation,
+    /// or from the `start` of an enclosing [`since`](RoundCtx::since)).
     #[inline]
     pub fn round(&self) -> u64 {
         self.round
@@ -225,6 +226,24 @@ impl<'a> RoundCtx<'a> {
         let port = self.neighbors.partition_point(|&u| u < id);
         assert!(self.neighbors.get(port) == Some(&id), "no port for {id}");
         port
+    }
+
+    /// Runs `f` with [`round`](RoundCtx::round) counted from `start`, then
+    /// restores the clock: a composite protocol hosts a stage protocol that
+    /// began at round `start` on the stage's own clock, which reads 0 in
+    /// the stage's first round. A CONGEST violation inside `f` names the
+    /// stage's round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is after the current round.
+    pub fn since(&mut self, start: u64, f: impl FnOnce(&mut Self)) {
+        let round = self.round;
+        self.round = round
+            .checked_sub(start)
+            .unwrap_or_else(|| panic!("stage starts at round {start}, after round {round}"));
+        f(self);
+        self.round = round;
     }
 
     /// Messages delivered to this node this round (sent in the previous
@@ -2244,6 +2263,74 @@ mod tests {
         fn next_wake(&self) -> Option<u64> {
             (!self.done).then_some(self.wake)
         }
+    }
+
+    /// Idles until round `start`, then hosts a [`Flood`] on a clock that
+    /// starts there.
+    struct Hosted {
+        start: u64,
+        flood: Flood,
+        /// The clock read back after the first hosted round.
+        resumed_at: Option<u64>,
+    }
+    impl NodeProgram for Hosted {
+        fn round(&mut self, ctx: &mut RoundCtx<'_>) {
+            if ctx.round() < self.start {
+                return;
+            }
+            ctx.since(self.start, |ctx| self.flood.round(ctx));
+            self.resumed_at.get_or_insert(ctx.round());
+        }
+        fn is_idle(&self) -> bool {
+            self.resumed_at.is_some()
+        }
+    }
+
+    /// Records `(round, messages)` of every executed round.
+    struct SendLog(Vec<(u64, u64)>);
+    impl crate::RoundObserver for SendLog {
+        fn on_round(&mut self, info: RoundInfo) -> bool {
+            self.0.push((info.round, info.messages));
+            true
+        }
+    }
+
+    #[test]
+    fn since_runs_a_stage_on_its_own_clock() {
+        let g = generators::grid2d(5, 6);
+        let sources = [0usize, 17];
+        let k = 4;
+        let hosted = Flood::network(30, &sources)
+            .into_iter()
+            .map(|flood| Hosted {
+                start: k,
+                flood,
+                resumed_at: None,
+            })
+            .collect();
+        let mut sim = Simulator::new(&g, hosted);
+        let mut log = SendLog(Vec::new());
+        assert!(sim.run_until_quiet_observed(100, &mut log).quiescent);
+        let first_send = log.0.iter().find(|&&(_, m)| m > 0).map(|&(r, _)| r);
+        assert_eq!(first_send, Some(k));
+        let plain = flood(&g, &sources);
+        for (v, p) in sim.programs().iter().enumerate() {
+            assert_eq!(p.flood.dist, plain[v], "vertex {v}");
+            assert_eq!(p.resumed_at, Some(k), "vertex {v}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stage starts at round 1, after round 0")]
+    fn since_rejects_a_start_after_the_current_round() {
+        struct Early;
+        impl NodeProgram for Early {
+            fn round(&mut self, ctx: &mut RoundCtx<'_>) {
+                ctx.since(1, |_| {});
+            }
+        }
+        let g = generators::path(2);
+        Simulator::new(&g, vec![Early, Early]).run_rounds(1);
     }
 
     /// A node whose wake comes due in the round a message reaches it is

@@ -43,8 +43,8 @@
 //!
 //! # Node state: an append-only knowledge log
 //!
-//! [`algo1_centralized`] is the reference: it keeps every vertex's table
-//! as a [`SmallKnowledge`] sorted by center and runs the acceptance rule
+//! [`algo1_centralized`] is the reference: it keeps every vertex's
+//! [`Knowledge`] table sorted by center and runs the acceptance rule
 //! literally. A distributed node ([`Algo1Protocol`]) instead appends what
 //! it accepts to a log. Every acceptance round adds entries of a single
 //! distance and distances only grow, so the log is in nondecreasing
@@ -64,7 +64,7 @@
 //!   keeps the smallest ids, so the log never outgrows its capacity.
 //!
 //! The harvest ([`Algo1Protocol::into_knowledge`]) sorts the log once by
-//! center, yielding the same [`SmallKnowledge`] the reference builds.
+//! center, yielding the same [`Knowledge`] table the reference builds.
 
 use nas_congest::{Merge, Msg, NodeProgram, RoundCtx, RunHooks, RunStats, SimArena, Simulator};
 use nas_graph::Graph;
@@ -82,69 +82,29 @@ pub struct KnownCenter {
     pub parent: u32,
 }
 
-/// A flat sorted knowledge table: what one vertex knows after Algorithm 1,
-/// keyed by center id (its own id is never included).
+/// What one vertex knows after Algorithm 1: its known centers with their
+/// entries, sorted strictly ascending by center id (its own id is never
+/// included).
 ///
-/// This is the harvested form that interconnection, the composite protocol
-/// and [`PopularityInfo`] read, and the table [`algo1_centralized`] runs
-/// the acceptance rule on. The distributed protocol does not touch it per
-/// message: its nodes append to a log and sort it into this table once,
-/// when the run is harvested (see the module docs).
-///
-/// # Why not a `BTreeMap`
-///
-/// Algorithm 1 caps every table at the phase's degree budget (`deg + 1`
-/// entries, see the module docs on self-inclusive capacity), so the table
-/// is *small and bounded* — the regime where a sorted
-/// `Vec<(u32, KnownCenter)>` beats a node-allocating tree on every axis:
-/// one contiguous allocation per vertex instead of one per entry, lookups
-/// by binary search, and iteration as a linear scan.
-///
-/// # Invariants
-///
-/// * `entries` is sorted strictly ascending by center id — maintained by
-///   the binary-search [`insert`](SmallKnowledge::insert) and by the
-///   harvest's sort of a duplicate-free log; there are never duplicate
-///   keys.
-/// * The *capacity* bound (`deg + 1`) is enforced by the caller
-///   (`accept_round` checks `len() >= cap` before inserting, the
-///   distributed log never grows past it), not by the table itself — the
-///   table only promises sortedness.
-///
-/// # Drop-in equivalence with the old `BTreeMap<u32, KnownCenter>`
-///
-/// Because the entries are kept sorted by key, `iter`/`keys`/`values`
-/// yield exactly the ascending-key order `BTreeMap` iteration produced, so
-/// every consumer that folds the table into messages, forward lists, or
-/// parent maps observes the identical sequence — which is why all golden
-/// digests and the centralized/distributed equality pins survive the swap
-/// unchanged.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SmallKnowledge {
+/// The table is capped at the phase's degree budget (`deg + 1` entries, see
+/// the module docs on self-inclusive capacity), so a sorted vector is one
+/// allocation per vertex, a lookup is a binary search and iteration is a
+/// linear scan. This is the harvested form that interconnection, the
+/// composite protocol and [`PopularityInfo`] read. [`algo1_centralized`]
+/// runs the acceptance rule on it directly; a distributed node sorts its
+/// log into it once, when the run is harvested.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Knowledge {
     entries: Vec<(u32, KnownCenter)>,
 }
 
-impl SmallKnowledge {
-    /// An empty table (no allocation until the first insert).
-    pub fn new() -> Self {
-        SmallKnowledge {
-            entries: Vec::new(),
-        }
-    }
-
-    /// An empty table with room for `cap` entries.
-    pub fn with_capacity(cap: usize) -> Self {
-        SmallKnowledge {
-            entries: Vec::with_capacity(cap),
-        }
-    }
-
+impl Knowledge {
     /// The table of a distributed node's knowledge log: the log sorted by
     /// center. The log never repeats a center.
     fn from_log(mut entries: Vec<(u32, KnownCenter)>) -> Self {
         entries.sort_unstable_by_key(|&(c, _)| c);
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        SmallKnowledge { entries }
+        Knowledge { entries }
     }
 
     /// Number of known centers.
@@ -152,109 +112,24 @@ impl SmallKnowledge {
         self.entries.len()
     }
 
-    /// Whether no center is known yet.
+    /// Whether no center is known.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Looks up the entry for center `c`.
-    pub fn get(&self, c: &u32) -> Option<&KnownCenter> {
+    pub fn get(&self, c: u32) -> Option<&KnownCenter> {
         self.entries
-            .binary_search_by_key(c, |&(k, _)| k)
+            .binary_search_by_key(&c, |&(k, _)| k)
             .ok()
             .map(|i| &self.entries[i].1)
     }
 
-    /// Whether center `c` is known.
-    pub fn contains_key(&self, c: &u32) -> bool {
-        self.entries.binary_search_by_key(c, |&(k, _)| k).is_ok()
-    }
-
-    /// Inserts or replaces the entry for center `c`, returning the previous
-    /// entry if one existed (`BTreeMap::insert` semantics).
-    pub fn insert(&mut self, c: u32, e: KnownCenter) -> Option<KnownCenter> {
-        match self.entries.binary_search_by_key(&c, |&(k, _)| k) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, e)),
-            Err(i) => {
-                self.entries.insert(i, (c, e));
-                None
-            }
-        }
-    }
-
-    /// Reserves room for exactly `additional` more entries (no growth
-    /// slack).
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        self.entries.reserve_exact(additional);
-    }
-
     /// Iterates `(center, entry)` in ascending center order.
-    pub fn iter(&self) -> SmallKnowledgeIter<'_> {
-        SmallKnowledgeIter(self.entries.iter())
-    }
-
-    /// Known center ids, ascending.
-    pub fn keys(&self) -> impl Iterator<Item = &u32> + '_ {
-        self.entries.iter().map(|(k, _)| k)
-    }
-
-    /// Entries in ascending center order.
-    pub fn values(&self) -> impl Iterator<Item = &KnownCenter> + '_ {
-        self.entries.iter().map(|(_, e)| e)
-    }
-
-    /// Heap bytes backing this table (capacity, not length — what the
-    /// allocator actually holds).
-    pub fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(u32, KnownCenter)>()
-    }
-
-    /// Drops excess capacity (growth slack). Harvest paths
-    /// call this on every table they retain: the knowledge plane lives on
-    /// through interconnection, and at 10^7 vertices the slack alone is
-    /// hundreds of MiB of RSS.
-    pub fn shrink_to_fit(&mut self) {
-        self.entries.shrink_to_fit();
+    pub fn iter(&self) -> std::slice::Iter<'_, (u32, KnownCenter)> {
+        self.entries.iter()
     }
 }
-
-/// Ascending-key iterator over a [`SmallKnowledge`] table, yielding
-/// `(&center, &entry)` exactly like `BTreeMap` iteration did.
-#[derive(Debug, Clone)]
-pub struct SmallKnowledgeIter<'a>(std::slice::Iter<'a, (u32, KnownCenter)>);
-
-impl<'a> Iterator for SmallKnowledgeIter<'a> {
-    type Item = (&'a u32, &'a KnownCenter);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(k, e)| (k, e))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl<'a> IntoIterator for &'a SmallKnowledge {
-    type Item = (&'a u32, &'a KnownCenter);
-    type IntoIter = SmallKnowledgeIter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl std::ops::Index<&u32> for SmallKnowledge {
-    type Output = KnownCenter;
-
-    fn index(&self, c: &u32) -> &KnownCenter {
-        self.get(c).expect("no entry found for center")
-    }
-}
-
-/// Knowledge state of one vertex after Algorithm 1 — a capacity-bounded
-/// flat sorted table (see [`SmallKnowledge`]).
-pub type Knowledge = SmallKnowledge;
 
 /// Process-wide high-water mark of per-node knowledge-table heap bytes,
 /// recorded by the distributed Algorithm 1 runs (see
@@ -262,7 +137,12 @@ pub type Knowledge = SmallKnowledge;
 static KNOWLEDGE_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 fn note_knowledge_peak(tables: &[Knowledge]) {
-    let peak = tables.iter().map(|k| k.heap_bytes() as u64).max();
+    // Capacity, not length: what the allocator actually holds.
+    let entry = std::mem::size_of::<(u32, KnownCenter)>();
+    let peak = tables
+        .iter()
+        .map(|k| (k.entries.capacity() * entry) as u64)
+        .max();
     if let Some(peak) = peak {
         KNOWLEDGE_PEAK_BYTES.fetch_max(peak, Ordering::Relaxed);
     }
@@ -283,10 +163,6 @@ pub struct PopularityInfo {
     pub knowledge: Vec<Knowledge>,
     /// The popular centers `W_i`, sorted ascending.
     pub popular: Vec<usize>,
-    /// The thresholds this was computed with.
-    pub deg: usize,
-    /// The distance threshold this was computed with.
-    pub delta: u64,
 }
 
 impl PopularityInfo {
@@ -298,14 +174,14 @@ impl PopularityInfo {
     /// Panics if `c` is unknown at `v` or the parent chain is corrupt.
     pub fn trace_path(&self, v: usize, c: usize) -> Vec<usize> {
         let budget = self.knowledge[v]
-            .get(&(c as u32))
+            .get(c as u32)
             .map(|e| e.dist as usize)
             .unwrap_or_else(|| panic!("vertex {v} does not know center {c}"));
         let mut path = vec![v];
         let mut cur = v;
         while cur != c {
             let e = self.knowledge[cur]
-                .get(&(c as u32))
+                .get(c as u32)
                 .unwrap_or_else(|| panic!("vertex {cur} does not know center {c}"));
             let next = e.parent as usize;
             debug_assert_ne!(next, cur);
@@ -350,28 +226,32 @@ fn accept_round(
     dist: u32,
     candidates: &[(u32, u32)],
 ) {
-    if knowledge.is_empty() {
+    let entries = &mut knowledge.entries;
+    if entries.is_empty() {
         // Size a fresh table to this round's intake: a table filled in a
         // single round (every table of a δ = 1 phase) then carries no
         // growth slack for the harvest to shrink.
-        knowledge.reserve_exact(candidates.len().min(cap));
+        entries.reserve_exact(candidates.len().min(cap));
     }
     for &(c, sender) in candidates {
         if c == self_id {
             continue;
         }
-        if knowledge.contains_key(&c) {
-            continue;
-        }
-        if knowledge.len() >= cap {
+        let Err(i) = entries.binary_search_by_key(&c, |&(k, _)| k) else {
+            continue; // already known
+        };
+        if entries.len() >= cap {
             break; // list full; everything further this round is dropped
         }
-        knowledge.insert(
-            c,
-            KnownCenter {
-                dist,
-                parent: sender,
-            },
+        entries.insert(
+            i,
+            (
+                c,
+                KnownCenter {
+                    dist,
+                    parent: sender,
+                },
+            ),
         );
     }
 }
@@ -383,7 +263,10 @@ fn accept_round(
 pub fn algo1_centralized(g: &Graph, is_center: &[bool], deg: usize, delta: u64) -> PopularityInfo {
     let n = g.num_vertices();
     assert_eq!(is_center.len(), n);
-    let mut knowledge: Vec<Knowledge> = vec![Knowledge::new(); n];
+    let empty = Knowledge {
+        entries: Vec::new(),
+    };
+    let mut knowledge = vec![empty; n];
 
     // Send phase 0: centers broadcast their own id; arrivals have dist 1.
     let mut cands: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
@@ -414,7 +297,7 @@ pub fn algo1_centralized(g: &Graph, is_center: &[bool], deg: usize, delta: u64) 
                 knowledge[v]
                     .iter()
                     .filter(|(_, e)| e.dist as u64 == p)
-                    .map(|(&c, _)| c)
+                    .map(|&(c, _)| c)
                     .take(deg + 1)
                     .collect()
             })
@@ -450,14 +333,9 @@ pub fn algo1_centralized(g: &Graph, is_center: &[bool], deg: usize, delta: u64) 
     // Peak noted; the retained tables go on a diet for the rest of the
     // phase (interconnection reads them but never grows them).
     for k in &mut knowledge {
-        k.shrink_to_fit();
+        k.entries.shrink_to_fit();
     }
-    PopularityInfo {
-        knowledge,
-        popular,
-        deg,
-        delta,
-    }
+    PopularityInfo { knowledge, popular }
 }
 
 fn collect_popular(knowledge: &[Knowledge], is_center: &[bool], deg: usize) -> Vec<usize> {
@@ -474,7 +352,7 @@ fn collect_popular(knowledge: &[Knowledge], is_center: &[bool], deg: usize) -> V
 /// The node's knowledge is an append-only log of accepted
 /// `(center, entry)` pairs in nondecreasing distance order, at most
 /// `deg + 1` long (see the module docs); [`into_knowledge`] sorts it into
-/// the [`SmallKnowledge`] table the later stages read.
+/// the [`Knowledge`] table the later stages read.
 ///
 /// [`into_knowledge`]: Algo1Protocol::into_knowledge
 #[derive(Debug, Clone)]
@@ -493,17 +371,14 @@ pub struct Algo1Protocol {
     /// (which it cannot do while holding entries of that distance) replays
     /// nothing from an earlier phase.
     fwd_start: usize,
-    /// Global round at which this protocol's schedule starts.
-    start_round: u64,
     /// Whether this node may still act spontaneously *in the current send
     /// phase* (its forward run has unsent entries). Recomputed at the end
     /// of every visit; see [`Algo1Protocol::is_idle`].
     pending: bool,
-    /// Global round of the next phase start this node must attend (the
-    /// phase forwarding its last log entry, if that lies beyond the
-    /// current phase) — surfaced through [`NodeProgram::next_wake`] so the
-    /// node can go idle between phases instead of being visited every
-    /// round.
+    /// Round of the next phase start this node must attend (the phase
+    /// forwarding its last log entry, if that lies beyond the current
+    /// phase) — surfaced through [`NodeProgram::next_wake`] so the node can
+    /// go idle between phases instead of being visited every round.
     wake_at: Option<u64>,
 }
 
@@ -516,30 +391,19 @@ thread_local! {
 }
 
 impl Algo1Protocol {
-    /// Creates the program for one node (schedule starts at round 0).
+    /// Creates the program for one node.
     pub fn new(is_center: bool, deg: usize, delta: u64) -> Self {
-        Self::new_at(is_center, deg, delta, 0)
-    }
-
-    /// Creates the program with its schedule offset to `start_round`.
-    pub fn new_at(is_center: bool, deg: usize, delta: u64, start_round: u64) -> Self {
         Algo1Protocol {
             is_center,
             deg,
             delta,
             log: Vec::new(),
             fwd_start: 0,
-            start_round,
             // Only a center has a spontaneous first act (its round-0
             // broadcast); a non-center's first round is a no-op.
             pending: is_center,
             wake_at: None,
         }
-    }
-
-    /// Whether this node is a center in this run.
-    pub fn is_center(&self) -> bool {
-        self.is_center
     }
 
     /// Whether this center is popular (`≥ deg` known others). Meaningful
@@ -630,9 +494,7 @@ impl Algo1Protocol {
 
 impl NodeProgram for Algo1Protocol {
     fn round(&mut self, ctx: &mut RoundCtx<'_>) {
-        let Some(r) = ctx.round().checked_sub(self.start_round) else {
-            return; // schedule not started yet
-        };
+        let r = ctx.round();
         // One schedule division per visit: derive the *previous* round's
         // phase (needed to distance-stamp arrivals) from this round's
         // instead of dividing twice. `send_phase` is exercised directly by
@@ -710,7 +572,7 @@ impl NodeProgram for Algo1Protocol {
             .last()
             .map(|(_, e)| u64::from(e.dist))
             .filter(|&d| d > p && d < self.delta)
-            .map(|d| self.start_round + 1 + (d - 1) * width);
+            .map(|d| 1 + (d - 1) * width);
     }
 
     /// A center is pending until its round-0 broadcast (and a non-center,
@@ -770,17 +632,9 @@ pub fn algo1_distributed(
     // Peak noted; shrink what the rest of the phase retains (see the
     // centralized twin) — growth slack dominates RSS at 10^7 vertices.
     for k in &mut knowledge {
-        k.shrink_to_fit();
+        k.entries.shrink_to_fit();
     }
-    (
-        PopularityInfo {
-            knowledge,
-            popular,
-            deg,
-            delta,
-        },
-        stats,
-    )
+    (PopularityInfo { knowledge, popular }, stats)
 }
 
 #[cfg(test)]
@@ -801,7 +655,7 @@ mod tests {
         assert_eq!(info.knowledge[0].len(), 5);
         for leaf in 1..6 {
             assert_eq!(info.knowledge[leaf].len(), 1);
-            assert_eq!(info.knowledge[leaf][&0].dist, 1);
+            assert_eq!(info.knowledge[leaf].get(0).unwrap().dist, 1);
         }
     }
 
@@ -823,7 +677,7 @@ mod tests {
         let info = algo1_centralized(&g, &all_centers(25), deg, delta);
         for v in 0..25 {
             let d = nas_graph::DistanceMap::from_source(&g, v);
-            for (&c, e) in &info.knowledge[v] {
+            for &(c, e) in info.knowledge[v].iter() {
                 assert_eq!(e.dist, d.get(c as usize).unwrap(), "vertex {v} center {c}");
             }
             // And it knows *all* centers within δ.
@@ -865,10 +719,10 @@ mod tests {
         let g = generators::complete(8);
         let info = algo1_centralized(&g, &all_centers(8), 3, 1);
         // Vertex 7 hears 0..7 simultaneously and keeps the three smallest.
-        let known: Vec<u32> = info.knowledge[7].keys().copied().collect();
+        let known: Vec<u32> = info.knowledge[7].iter().map(|&(c, _)| c).collect();
         assert_eq!(known, vec![0, 1, 2]);
         // Vertex 0 keeps 1, 2, 3.
-        let known: Vec<u32> = info.knowledge[0].keys().copied().collect();
+        let known: Vec<u32> = info.knowledge[0].iter().map(|&(c, _)| c).collect();
         assert_eq!(known, vec![1, 2, 3]);
     }
 
@@ -880,10 +734,10 @@ mod tests {
         is_center[9] = true;
         let info = algo1_centralized(&g, &is_center, 5, 9);
         // Middle vertex 4 knows 0 (dist 4) and 9 (dist 5).
-        assert_eq!(info.knowledge[4][&0].dist, 4);
-        assert_eq!(info.knowledge[4][&9].dist, 5);
+        assert_eq!(info.knowledge[4].get(0).unwrap().dist, 4);
+        assert_eq!(info.knowledge[4].get(9).unwrap().dist, 5);
         // The two centers know each other at distance 9.
-        assert_eq!(info.knowledge[0][&9].dist, 9);
+        assert_eq!(info.knowledge[0].get(9).unwrap().dist, 9);
         assert_eq!(info.popular, Vec::<usize>::new());
     }
 
@@ -933,7 +787,7 @@ mod tests {
         // δ well past 64: the regime of deep phases on large grids.
         let is_center: Vec<bool> = (0..200).map(|v| [0, 67, 134, 199].contains(&v)).collect();
         let info = check(&generators::path(200), &is_center, 8, 150);
-        assert_eq!(info.knowledge[199][&67].dist, 132);
+        assert_eq!(info.knowledge[199].get(67).unwrap().dist, 132);
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! * every stage occupies a fixed, globally computable round window, so no
 //!   global coordination is ever needed.
 //!
+//! Each stage runs on its own clock: a node hosts the stage's program
+//! through [`RoundCtx::since`] from the first round of the stage's window,
+//! so the program reads round 0 there, exactly as in a standalone run. The
+//! stages' timed wake-ups are therefore local to the stage and never read:
+//! the composite is never idle, so every node is visited every round.
+//!
 //! The price of honesty: every window runs to its full worst-case length
 //! (e.g. the ruling set runs even in phases where `W_i` happens to be
 //! empty), so the measured round count *is* the schedule bound — which is
@@ -37,7 +43,7 @@ use crate::supercluster::SuperclusterProtocol;
 use nas_congest::{NodeProgram, RoundCtx, Simulator};
 use nas_graph::{CompactGraph, EdgeSet, Graph};
 use nas_par::WorkerPool;
-use nas_ruling::{RulingParams, RulingProtocol};
+use nas_ruling::RulingProtocol;
 use std::sync::Arc;
 
 /// Round windows of one phase (absolute global rounds).
@@ -51,20 +57,17 @@ struct Windows {
 }
 
 /// Computes the per-phase windows; identical at every node.
-fn windows(schedule: &Schedule, n: usize) -> Vec<Windows> {
+fn windows(schedule: &Schedule) -> Vec<Windows> {
     let mut out = Vec::with_capacity(schedule.ell + 1);
     let mut t = 0u64;
     for i in 0..=schedule.ell {
-        let deg = usize::try_from(schedule.deg[i])
-            .unwrap_or(usize::MAX)
-            .min(n + 1);
+        let deg = schedule.stage_deg(i);
         let delta = schedule.delta[i];
         let a1 = t;
         t += algo1_rounds(deg, delta);
         let ruling = t;
         if i < schedule.ell {
-            let q = u32::try_from(2 * delta).expect("2δ fits u32").max(1);
-            t += RulingProtocol::total_rounds(n, RulingParams::new(q, schedule.ruling_c));
+            t += RulingProtocol::total_rounds(schedule.n, schedule.ruling_params(i));
         }
         let sc = t;
         if i < schedule.ell {
@@ -139,10 +142,6 @@ impl NodeProgram for FullProtocol {
             return; // schedule exhausted
         };
         let w = self.windows[i];
-        let delta = self.schedule.delta[i];
-        let deg = usize::try_from(self.schedule.deg[i])
-            .unwrap_or(usize::MAX)
-            .min(n + 1);
         let concluding = i == self.schedule.ell;
 
         // Stage entry actions (local decisions only).
@@ -150,26 +149,27 @@ impl NodeProgram for FullProtocol {
             if i > 0 {
                 self.harvest_phase(false);
             }
-            self.algo1 = Some(Algo1Protocol::new_at(self.is_center, deg, delta, r));
+            self.algo1 = Some(Algo1Protocol::new(
+                self.is_center,
+                self.schedule.stage_deg(i),
+                self.schedule.delta[i],
+            ));
         }
         if !concluding && r == w.ruling {
             let popular = self.algo1.as_ref().expect("algo1 ran").popular();
-            let q = u32::try_from(2 * delta).expect("2δ fits u32").max(1);
-            self.ruling = Some(RulingProtocol::new_at(
+            self.ruling = Some(RulingProtocol::new(
                 n,
-                RulingParams::new(q, self.schedule.ruling_c),
+                self.schedule.ruling_params(i),
                 popular,
-                r,
             ));
         }
         if !concluding && r == w.sc {
             let ruling = self.ruling.as_ref().expect("ruling ran");
             self.is_root = ruling.is_member();
-            self.sc = Some(SuperclusterProtocol::new_at(
+            self.sc = Some(SuperclusterProtocol::new(
                 self.is_root,
                 self.is_center,
                 self.schedule.sc_depth(i),
-                r,
             ));
         }
         if r == w.inter {
@@ -178,18 +178,22 @@ impl NodeProgram for FullProtocol {
             // Algorithm 1 is over for this phase: its table moves into the
             // trace stage, which only reads it.
             let knowledge = self.algo1.take().expect("algo1 ran").into_knowledge();
-            self.trace = Some(TraceProtocol::new_at(initiator, knowledge, r));
+            self.trace = Some(TraceProtocol::new(initiator, knowledge));
         }
 
-        // Delegate to the active stage protocol.
+        // Delegate to the active stage protocol, on the stage's clock.
         if r < w.ruling {
-            self.algo1.as_mut().expect("algo1 stage").round(ctx);
+            let algo1 = self.algo1.as_mut().expect("algo1 stage");
+            ctx.since(w.algo1, |ctx| algo1.round(ctx));
         } else if r < w.sc {
-            self.ruling.as_mut().expect("ruling stage").round(ctx);
+            let ruling = self.ruling.as_mut().expect("ruling stage");
+            ctx.since(w.ruling, |ctx| ruling.round(ctx));
         } else if r < w.inter {
-            self.sc.as_mut().expect("sc stage").round(ctx);
+            let sc = self.sc.as_mut().expect("sc stage");
+            ctx.since(w.sc, |ctx| sc.round(ctx));
         } else {
-            self.trace.as_mut().expect("trace stage").round(ctx);
+            let trace = self.trace.as_mut().expect("trace stage");
+            ctx.since(w.inter, |ctx| trace.round(ctx));
         }
 
         // Final harvest at the last round of the last phase.
@@ -226,7 +230,7 @@ pub(crate) fn run_full_ctl(
 ) -> Result<SpannerResult, SessionError> {
     let n = g.num_vertices();
     let schedule = params.schedule(n)?;
-    let windows = windows(&schedule, n);
+    let windows = windows(&schedule);
     let programs: Vec<FullProtocol> = (0..n)
         .map(|_| FullProtocol::new(schedule.clone(), windows.clone()))
         .collect();
@@ -285,12 +289,6 @@ mod tests {
     use crate::{Backend, Report, Session};
     use nas_graph::generators;
 
-    fn sorted(s: &EdgeSet) -> Vec<(usize, usize)> {
-        let mut v: Vec<_> = s.iter().collect();
-        v.sort_unstable();
-        v
-    }
-
     fn run_full(g: &Graph, params: Params) -> Report {
         Session::on(g)
             .params(params)
@@ -311,16 +309,8 @@ mod tests {
             let central = build_with_engine(&g, params, &mut CentralizedEngine).unwrap();
             let staged = build_with_engine(&g, params, &mut CongestEngine::new()).unwrap();
             let full = run_full(&g, params);
-            assert_eq!(
-                sorted(&central.spanner),
-                sorted(&full.spanner),
-                "{name} vs centralized"
-            );
-            assert_eq!(
-                sorted(&staged.spanner),
-                sorted(&full.spanner),
-                "{name} vs staged"
-            );
+            assert_eq!(central.spanner, full.spanner, "{name} vs centralized");
+            assert_eq!(staged.spanner, full.spanner, "{name} vs staged");
             // The one-simulation run pays the full schedule; the staged run
             // may skip globally-detected empty stages — so staged ≤ full.
             assert!(staged.stats.rounds <= full.stats.rounds, "{name}");
@@ -332,7 +322,7 @@ mod tests {
         let params = Params::practical(0.5, 4, 0.45);
         let g = generators::connected_gnp(24, 0.15, 9);
         let full = run_full(&g, params);
-        let w = super::windows(&full.schedule, 24);
+        let w = super::windows(&full.schedule);
         assert_eq!(full.stats.rounds, w.last().unwrap().end);
         // And the fixed length respects the per-phase bound of Lemma 2.8.
         assert!(full.stats.rounds <= full.schedule.total_round_bound());
@@ -345,14 +335,14 @@ mod tests {
         let a = run_full(&g, params);
         let b = run_full(&g, params);
         assert_eq!(a.stats, b.stats);
-        assert_eq!(sorted(&a.spanner), sorted(&b.spanner));
+        assert_eq!(a.spanner, b.spanner);
     }
 
     #[test]
     fn windows_are_contiguous() {
         let params = Params::practical(0.5, 4, 0.45);
         let schedule = params.schedule(64).unwrap();
-        let w = super::windows(&schedule, 64);
+        let w = super::windows(&schedule);
         assert_eq!(w.len(), schedule.ell + 1);
         assert_eq!(w[0].algo1, 0);
         for i in 0..w.len() {

@@ -43,7 +43,7 @@ pub fn interconnect_centralized(
     let mut edges = EdgeSet::new(n);
     let mut paths = 0usize;
     for &rc in initiators {
-        for (&c, _) in info.knowledge[rc].iter() {
+        for &(c, _) in info.knowledge[rc].iter() {
             let path = info.trace_path(rc, c as usize);
             edges.insert_path(&path);
             paths += 1;
@@ -71,36 +71,22 @@ pub struct TraceProtocol<K> {
     /// each port every round and keeping the rest in order is exactly the
     /// per-port-FIFO schedule, without `degree` queue allocations per node.
     pending: Vec<(u32, u32)>,
-    /// Whether the node's spontaneous first act is done: an initiator
-    /// enqueues its traces when its schedule starts (`local == 0`); every
-    /// other node has nothing to do until a trace reaches it.
-    started: bool,
     /// Edges this node marked (as (self, neighbor)).
     marked: Vec<(u32, u32)>,
     /// Trace initiations performed (for the path count).
     initiated: usize,
-    /// Global round at which this protocol's schedule starts.
-    start_round: u64,
 }
 
 impl<K: Borrow<Knowledge>> TraceProtocol<K> {
-    /// Creates the program for one node from its Algorithm 1 knowledge
-    /// (schedule starts at round 0).
+    /// Creates the program for one node from its Algorithm 1 knowledge.
     pub fn new(is_initiator: bool, knowledge: K) -> Self {
-        Self::new_at(is_initiator, knowledge, 0)
-    }
-
-    /// Creates the program with its schedule offset to `start_round`.
-    pub fn new_at(is_initiator: bool, knowledge: K, start_round: u64) -> Self {
         TraceProtocol {
             is_initiator,
             knowledge,
             forwarded: Vec::new(),
             pending: Vec::new(),
-            started: !is_initiator,
             marked: Vec::new(),
             initiated: 0,
-            start_round,
         }
     }
 
@@ -120,7 +106,7 @@ impl<K: Borrow<Knowledge>> TraceProtocol<K> {
             Ok(_) => return,
             Err(i) => self.forwarded.insert(i, c),
         }
-        let parent = match self.knowledge.borrow().get(&c) {
+        let parent = match self.knowledge.borrow().get(c) {
             Some(e) => e.parent,
             None => panic!("node {} asked to trace unknown center {c}", ctx.id()),
         };
@@ -132,21 +118,17 @@ impl<K: Borrow<Knowledge>> TraceProtocol<K> {
 
 impl<K: Borrow<Knowledge>> NodeProgram for TraceProtocol<K> {
     fn round(&mut self, ctx: &mut RoundCtx<'_>) {
-        let Some(local) = ctx.round().checked_sub(self.start_round) else {
-            return; // schedule not started yet
-        };
-        if local == 0 {
-            self.started = true;
+        if ctx.round() == 0 {
             if self.is_initiator {
                 let knowledge = self.knowledge.borrow();
                 self.initiated = knowledge.len();
-                for (&c, e) in knowledge {
+                for &(c, e) in knowledge.iter() {
                     let port = ctx.port_of(e.parent);
                     self.marked.push((ctx.id() as u32, e.parent));
                     self.pending.push((port as u32, c));
                 }
                 // All centers enqueued, in ascending order.
-                self.forwarded.extend(knowledge.keys());
+                self.forwarded.extend(knowledge.iter().map(|&(c, _)| c));
             }
         } else {
             for i in 0..ctx.inbox().len() {
@@ -175,14 +157,12 @@ impl<K: Borrow<Knowledge>> NodeProgram for TraceProtocol<K> {
         self.pending.truncate(w);
     }
 
-    /// An initiator is non-idle until its schedule's first round has run:
-    /// it has a spontaneous `local == 0` action (enqueueing its traces), so
-    /// under the activity contract it must keep itself scheduled until then
-    /// — this matters for `new_at(start_round > 0)` on a standalone
-    /// simulator, where nothing else would wake the node at its start round.
-    /// Every node is then idle exactly when its outgoing queue has drained.
+    /// Idle exactly when the outgoing queue has drained. An initiator's one
+    /// spontaneous act, enqueueing its traces, happens in round 0, when
+    /// every run visits it: the staged runner installs the initiators as
+    /// the initial set and [`Simulator::new`] visits every node.
     fn is_idle(&self) -> bool {
-        self.started && self.pending.is_empty()
+        self.pending.is_empty()
     }
 }
 
@@ -277,11 +257,7 @@ mod tests {
         let max = deg as u64 * delta + delta + 4;
         let (b, _) = run(g, &info, initiators, max);
 
-        let mut ae: Vec<_> = a.edges.iter().collect();
-        let mut be: Vec<_> = b.edges.iter().collect();
-        ae.sort_unstable();
-        be.sort_unstable();
-        assert_eq!(ae, be, "edge sets differ");
+        assert_eq!(a.edges, b.edges, "edge sets differ");
         assert_eq!(a.paths, b.paths);
         assert!(a.edges.verify_subgraph_of(g).is_ok());
 
@@ -289,7 +265,7 @@ mod tests {
         for &rc in initiators {
             let dg = DistanceMap::from_source(g, rc);
             let dh = DistanceMap::from_source(&h, rc);
-            for (&c, e) in &info.knowledge[rc] {
+            for &(c, e) in info.knowledge[rc].iter() {
                 let c = c as usize;
                 assert_eq!(e.dist, dg.get(c).unwrap(), "algo1 distance must be exact");
                 assert_eq!(
@@ -352,11 +328,7 @@ mod tests {
         let initiators = vec![2, 3, 4, 5];
         let a = interconnect_centralized(&g, &info, &initiators);
         let (b, _) = run(&g, &info, &initiators, 100);
-        let mut ae: Vec<_> = a.edges.iter().collect();
-        let mut be: Vec<_> = b.edges.iter().collect();
-        ae.sort_unstable();
-        be.sort_unstable();
-        assert_eq!(ae, be);
+        assert_eq!(a.edges, b.edges);
         // Star has only 5 edges; all get added.
         assert_eq!(a.edges.len(), 5);
     }

@@ -79,7 +79,6 @@ impl PhaseEngine for LocalEngine {
             .copied()
             .filter(|&c| info.knowledge[c].len() >= deg)
             .collect();
-        info.deg = deg;
         info
     }
 

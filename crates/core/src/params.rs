@@ -35,6 +35,7 @@
 //! the effective `ρ_eff = 1/c ≤ ρ` (asserted in tests), so every lemma that
 //! relies on `R_i` holds verbatim with `ρ_eff` in place of `ρ`.
 
+use nas_ruling::RulingParams;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -291,6 +292,22 @@ impl Schedule {
     /// domination radius, guaranteeing all popular centers are covered).
     pub fn sc_depth(&self, i: usize) -> u64 {
         2 * self.ruling_c as u64 * self.delta[i]
+    }
+
+    /// Algorithm 1's degree threshold in phase `i`: `deg_i` as a `usize`,
+    /// capped at `n + 1` — a bound no knowledge table can reach, so the cap
+    /// only keeps the value in range.
+    pub(crate) fn stage_deg(&self, i: usize) -> usize {
+        usize::try_from(self.deg[i])
+            .unwrap_or(usize::MAX)
+            .min(self.n + 1)
+    }
+
+    /// The ruling-set parameters of phase `i`: `q = max(2δ_i, 1)` and
+    /// `c = ⌈ρ⁻¹⌉`, for a `(q + 1, cq)`-ruling set over `W_i`.
+    pub(crate) fn ruling_params(&self, i: usize) -> RulingParams {
+        let q = u32::try_from(2 * self.delta[i]).expect("2δ fits u32 by MAX_DELTA");
+        RulingParams::new(q.max(1), self.ruling_c)
     }
 
     /// The paper's closed-form radius bound

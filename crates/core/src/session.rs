@@ -837,12 +837,6 @@ mod tests {
     use super::*;
     use nas_graph::generators;
 
-    fn sorted(s: &EdgeSet) -> Vec<(usize, usize)> {
-        let mut v: Vec<_> = s.iter().collect();
-        v.sort_unstable();
-        v
-    }
-
     #[test]
     fn all_backends_agree_on_the_spanner() {
         let g = generators::connected_gnp(36, 0.12, 9);
@@ -855,9 +849,8 @@ mod tests {
         .into_iter()
         .map(|b| Session::on(&g).backend(b).run().unwrap())
         .collect();
-        let reference = sorted(&reports[0].spanner);
         for r in &reports[1..] {
-            assert_eq!(reference, sorted(&r.spanner), "{} differs", r.backend);
+            assert_eq!(reports[0].spanner, r.spanner, "{} differs", r.backend);
         }
         // Cost models differ as specified.
         assert_eq!(reports[0].rounds(), 0);
@@ -885,8 +878,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(compact.store, Store::Compact);
                 assert_eq!(
-                    sorted(&compact.spanner),
-                    sorted(&flat.spanner),
+                    compact.spanner, flat.spanner,
                     "{backend} spanner drifted on compact at {threads} threads"
                 );
                 assert_eq!(compact.stats, flat.stats, "{backend} stats drifted");
@@ -961,7 +953,7 @@ mod tests {
             .round_budget(full.rounds())
             .run()
             .unwrap();
-        assert_eq!(sorted(&ok.spanner), sorted(&full.spanner));
+        assert_eq!(ok.spanner, full.spanner);
     }
 
     #[test]
@@ -1059,7 +1051,7 @@ mod tests {
             .threads(3)
             .run()
             .unwrap();
-        assert_eq!(sorted(&seq.spanner), sorted(&par.spanner));
+        assert_eq!(seq.spanner, par.spanner);
         assert_eq!(seq.stats, par.stats);
         assert_eq!(seq.settled, par.settled);
     }

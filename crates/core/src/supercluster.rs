@@ -79,18 +79,11 @@ pub struct SuperclusterProtocol {
     confirmed: bool,
     /// Edges this node marked for `H` during the upcast (as (self, neighbor)).
     marked: Vec<(u32, u32)>,
-    /// Global round at which this protocol's schedule starts.
-    start_round: u64,
 }
 
 impl SuperclusterProtocol {
-    /// Creates the program for one node (schedule starts at round 0).
+    /// Creates the program for one node.
     pub fn new(is_root: bool, is_center: bool, depth: u64) -> Self {
-        Self::new_at(is_root, is_center, depth, 0)
-    }
-
-    /// Creates the program with its schedule offset to `start_round`.
-    pub fn new_at(is_root: bool, is_center: bool, depth: u64, start_round: u64) -> Self {
         SuperclusterProtocol {
             is_root,
             is_center,
@@ -98,7 +91,6 @@ impl SuperclusterProtocol {
             claim: None,
             confirmed: false,
             marked: Vec::new(),
-            start_round,
         }
     }
 
@@ -131,9 +123,7 @@ impl SuperclusterProtocol {
 
 impl NodeProgram for SuperclusterProtocol {
     fn round(&mut self, ctx: &mut RoundCtx<'_>) {
-        let Some(r) = ctx.round().checked_sub(self.start_round) else {
-            return; // schedule not started yet
-        };
+        let r = ctx.round();
         if r <= self.depth {
             // --- Claim flood ---
             if r == 0 {
@@ -204,12 +194,12 @@ impl NodeProgram for SuperclusterProtocol {
     }
 
     /// A claimed non-root center must attend the first upcast round
-    /// (`start + depth + 1`) to initiate its confirm; claims are only
-    /// adopted during the flood (`≤ start + depth`), so the appointment is
-    /// always in the future when set.
+    /// (`depth + 1`) to initiate its confirm; claims are only adopted
+    /// during the flood (rounds `≤ depth`), so the appointment is always in
+    /// the future when set.
     fn next_wake(&self) -> Option<u64> {
         (self.is_center && !self.is_root && !self.confirmed && self.claim.is_some())
-            .then_some(self.start_round + self.depth + 1)
+            .then_some(self.depth + 1)
     }
 }
 
@@ -332,12 +322,7 @@ mod tests {
             );
             assert_eq!(a.root, b.root, "roots differ");
             assert_eq!(a.assignment, b.assignment, "assignment differs");
-            // Path edge sets are equal (as sets).
-            let mut ae: Vec<_> = a.path_edges.iter().collect();
-            let mut be: Vec<_> = b.path_edges.iter().collect();
-            ae.sort_unstable();
-            be.sort_unstable();
-            assert_eq!(ae, be, "path edges differ");
+            assert_eq!(a.path_edges, b.path_edges, "path edges differ");
             assert_eq!(stats.rounds, SuperclusterProtocol::total_rounds(depth));
         }
     }

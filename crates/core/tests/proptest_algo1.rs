@@ -36,7 +36,7 @@ proptest! {
                 "vertex {u} knows {} < min(deg {deg}, |Γ^δ ∩ S \\ u| {within})",
                 info.knowledge[u].len()
             );
-            for (&c, e) in &info.knowledge[u] {
+            for &(c, e) in info.knowledge[u].iter() {
                 let true_d = d.get(c as usize).expect("known center must be reachable");
                 prop_assert!(e.dist >= true_d, "recorded below true distance");
                 prop_assert!(e.dist as u64 <= delta, "knowledge beyond δ");
@@ -67,14 +67,14 @@ proptest! {
                 if c == u { continue; }
                 if let Some(dc) = d.get(c) {
                     if dc as u64 <= delta {
-                        let e = info.knowledge[u].get(&(c as u32));
+                        let e = info.knowledge[u].get(c as u32);
                         prop_assert!(e.is_some(), "unpopular {u} misses center {c}");
                         prop_assert_eq!(e.unwrap().dist, dc, "inexact at unpopular center");
                     }
                 }
             }
             // Parent chains trace shortest paths.
-            for (&c, e) in &info.knowledge[u] {
+            for &(c, e) in info.knowledge[u].iter() {
                 let path = info.trace_path(u, c as usize);
                 prop_assert_eq!(path.len() as u32 - 1, e.dist);
                 for w in path.windows(2) {

@@ -219,11 +219,6 @@ proptest! {
             .backend(Backend::Centralized)
             .run()
             .expect("centralized run");
-        let edges = |r: &nas_core::Report| {
-            let mut e: Vec<_> = r.spanner.iter().collect();
-            e.sort_unstable();
-            e
-        };
         // Everything but the skip counter: what must agree between a
         // skipping and a non-skipping execution.
         let executed = |r: &nas_core::Report| {
@@ -231,11 +226,11 @@ proptest! {
             s.skipped_rounds = 0;
             s
         };
-        prop_assert_eq!(edges(&base), edges(&central), "congest vs centralized edges");
+        prop_assert_eq!(&base.spanner, &central.spanner, "congest vs centralized edges");
         prop_assert_eq!(&base.settled, &central.settled, "congest vs centralized settled");
         for threads in [2usize, 4] {
             let r = run(threads, true);
-            prop_assert_eq!(edges(&base), edges(&r), "edges diverge at {} lanes", threads);
+            prop_assert_eq!(&base.spanner, &r.spanner, "edges diverge at {} lanes", threads);
             prop_assert_eq!(&base.schedule, &r.schedule, "schedule diverges at {} lanes", threads);
             prop_assert_eq!(&base.settled, &r.settled, "settled diverges at {} lanes", threads);
             prop_assert_eq!(base.stats, r.stats, "round/message accounting diverges at {} lanes", threads);
@@ -243,7 +238,7 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let r = run(threads, false);
             prop_assert_eq!(r.stats.skipped_rounds, 0, "skip-disabled run skipped rounds");
-            prop_assert_eq!(edges(&base), edges(&r), "edges diverge ff-off at {} lanes", threads);
+            prop_assert_eq!(&base.spanner, &r.spanner, "edges diverge ff-off at {} lanes", threads);
             prop_assert_eq!(&base.schedule, &r.schedule, "schedule diverges ff-off at {} lanes", threads);
             prop_assert_eq!(&base.settled, &r.settled, "settled diverges ff-off at {} lanes", threads);
             prop_assert_eq!(

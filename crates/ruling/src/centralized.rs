@@ -37,22 +37,25 @@ pub fn ruling_set_centralized(g: &Graph, w: &[usize], params: RulingParams) -> R
     let mut visited = EpochMarks::new();
     let mut frontier: Vec<u32> = Vec::new();
     let mut next: Vec<u32> = Vec::new();
-    let mut sources: Vec<usize> = Vec::new();
+    // The surviving members, sorted by the current iteration's digit: each
+    // run of equal digits `b` holds sub-phase `b`'s candidate sources.
+    let mut members: Vec<usize> = (0..n).filter(|&v| active[v]).collect();
 
     for i in 0..params.c {
-        for b in 0..plan.base() {
-            // Sources: active vertices whose i-th digit is b.
-            sources.clear();
-            sources.extend((0..n).filter(|&v| active[v] && plan.digit(v as u64, i) == b));
-            if sources.is_empty() {
-                continue; // schedule-equivalent: an empty wave kills nobody
-            }
-            // Depth-q multi-source wave, expanded level by level; kills are
-            // applied at visit time (wave propagation never reads `active`,
-            // so inline kills match a post-wave sweep).
+        let digit = |v: usize| plan.digit(v as u64, i);
+        members.retain(|&v| active[v]);
+        members.sort_by_key(|&v| digit(v));
+        for run in members.chunk_by(|&a, &b| digit(a) == digit(b)) {
+            let b = digit(run[0]);
+            // Depth-q multi-source wave from the run's active vertices (the
+            // sources whose i-th digit is b), expanded level by level; kills
+            // are applied at visit time (wave propagation never reads
+            // `active`, so inline kills match a post-wave sweep). Sub-phases
+            // whose run is absent or fully killed send no wave: an empty
+            // wave kills nobody.
             visited.begin(n);
             frontier.clear();
-            for &s in &sources {
+            for &s in run.iter().filter(|&&v| active[v]) {
                 visited.mark(s);
                 frontier.push(s as u32);
             }
@@ -65,7 +68,7 @@ pub fn ruling_set_centralized(g: &Graph, w: &[usize], params: RulingParams) -> R
                     for &u in g.neighbors(v as usize) {
                         let u = u as usize;
                         if visited.mark(u) {
-                            if active[u] && plan.digit(u as u64, i) > b {
+                            if active[u] && digit(u) > b {
                                 active[u] = false;
                             }
                             next.push(u as u32);

@@ -1,7 +1,7 @@
 //! The distributed digit-elimination protocol on the CONGEST simulator.
 //!
 //! Faithful round-by-round implementation of the algorithm described in the
-//! crate docs. The global synchronous clock is divided into
+//! crate docs. The protocol's synchronous clock is divided into
 //! `c · m` sub-phases of `q + 1` rounds each; every node derives the current
 //! (iteration, digit-value, offset) triple from the round number — the same
 //! "synchronization by round counting" the paper's vertices use (they know
@@ -19,8 +19,8 @@ use nas_graph::Graph;
 
 /// Per-node state of the distributed ruling-set protocol.
 ///
-/// Construct via [`ruling_set_distributed`]; exposed publicly so the spanner
-/// driver can embed it in composite schedules.
+/// [`ruling_set_distributed`] runs it on its own; it is public so the
+/// spanner's one-simulation backend can host it as a stage.
 #[derive(Debug, Clone)]
 pub struct RulingProtocol {
     plan: DigitPlan,
@@ -31,24 +31,15 @@ pub struct RulingProtocol {
     /// Tagging instead of resetting at each sub-phase start lets the
     /// active-set scheduler skip passive nodes at sub-phase boundaries.
     wave_seen: Option<u64>,
-    /// Global round of this node's next spontaneous wave launch, or `None`
-    /// once the digit schedule holds no further launches for it. Recomputed
-    /// on every visit; consumed by [`NodeProgram::next_wake`].
+    /// Round of this node's next spontaneous wave launch, or `None` once
+    /// the digit schedule holds no further launches for it. Recomputed on
+    /// every visit; consumed by [`NodeProgram::next_wake`].
     wake_at: Option<u64>,
-    /// Global round at which this protocol's schedule starts (for embedding
-    /// in composite protocols).
-    start_round: u64,
 }
 
 impl RulingProtocol {
-    /// Creates the program for one node (schedule starts at round 0).
+    /// Creates the program for one node.
     pub fn new(n: usize, params: RulingParams, in_w: bool) -> Self {
-        Self::new_at(n, params, in_w, 0)
-    }
-
-    /// Creates the program with its schedule offset to start at
-    /// `start_round` of the global clock.
-    pub fn new_at(n: usize, params: RulingParams, in_w: bool, start_round: u64) -> Self {
         RulingProtocol {
             plan: DigitPlan::new(n, params.c),
             q: params.q,
@@ -57,8 +48,7 @@ impl RulingProtocol {
             // Fresh `W` members hold a pending appointment at the schedule
             // start so a pre-step quiescence probe cannot declare the
             // network finished before the first launch.
-            wake_at: in_w.then_some(start_round),
-            start_round,
+            wake_at: in_w.then_some(0),
         }
     }
 
@@ -74,7 +64,7 @@ impl RulingProtocol {
         self.active
     }
 
-    /// Decomposes a global round number into
+    /// Decomposes a round number into
     /// (digit iteration, digit value, offset within sub-phase).
     fn position(&self, round: u64) -> (u32, u64, u64) {
         let len = self.q as u64 + 1;
@@ -104,7 +94,7 @@ impl RulingProtocol {
         while i < self.plan.count() {
             let sp = i as u64 * base + self.plan.digit(id, i);
             if sp > cur_sp {
-                self.wake_at = Some(self.start_round + sp * len);
+                self.wake_at = Some(sp * len);
                 return;
             }
             i += 1;
@@ -114,17 +104,13 @@ impl RulingProtocol {
 
 impl NodeProgram for RulingProtocol {
     fn round(&mut self, ctx: &mut RoundCtx<'_>) {
-        let Some(local) = ctx.round().checked_sub(self.start_round) else {
-            // Schedule not started yet: keep the appointment at its start.
-            self.wake_at = Some(self.start_round);
-            return;
-        };
-        let (i, b, offset) = self.position(local);
+        let round = ctx.round();
+        let (i, b, offset) = self.position(round);
         if i >= self.plan.count() {
             self.wake_at = None;
             return; // schedule exhausted
         }
-        let subphase = local / (self.q as u64 + 1);
+        let subphase = round / (self.q as u64 + 1);
         let seen_this_subphase = self.wave_seen == Some(subphase);
         if offset == 0 {
             // Sub-phase start: sources launch their wave. (Passive nodes

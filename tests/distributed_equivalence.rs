@@ -10,12 +10,6 @@ fn build(g: &Graph, p: Params, b: Backend) -> Report {
     Session::on(g).params(p).backend(b).run().unwrap()
 }
 
-fn sorted_edges(s: &nas_graph::EdgeSet) -> Vec<(usize, usize)> {
-    let mut v: Vec<_> = s.iter().collect();
-    v.sort_unstable();
-    v
-}
-
 #[test]
 fn distributed_equals_centralized_corpus() {
     let graphs = vec![
@@ -34,8 +28,7 @@ fn distributed_equals_centralized_corpus() {
             let a = build(g, params, Backend::Centralized);
             let b = build(g, params, Backend::Congest);
             assert_eq!(
-                sorted_edges(&a.spanner),
-                sorted_edges(&b.spanner),
+                a.spanner, b.spanner,
                 "{name}: spanner differs between backends"
             );
             assert_eq!(a.settled, b.settled, "{name}: settled differs");
@@ -70,7 +63,7 @@ fn distributed_run_is_reproducible() {
     let a = build(&g, p, Backend::Congest);
     let b = build(&g, p, Backend::Congest);
     assert_eq!(a.stats, b.stats, "transcripts must be identical");
-    assert_eq!(sorted_edges(&a.spanner), sorted_edges(&b.spanner));
+    assert_eq!(a.spanner, b.spanner);
 }
 
 #[test]

@@ -10,14 +10,8 @@ use nas_core::{
     build_with_engine, Backend, CongestEngine, Event, EventLog, Params, PhaseEngine, Session,
     SessionError,
 };
-use nas_graph::{generators, EdgeSet, Graph};
+use nas_graph::{generators, Graph};
 use nas_ruling::{RulingParams, RulingSet};
-
-fn sorted(s: &EdgeSet) -> Vec<(usize, usize)> {
-    let mut v: Vec<_> = s.iter().collect();
-    v.sort_unstable();
-    v
-}
 
 fn workloads() -> Vec<(&'static str, Graph)> {
     vec![
@@ -39,14 +33,8 @@ fn all_backends_agree_through_the_session_surface() {
         let congest = run(Backend::Congest);
         let local = run(Backend::Local);
         let full = run(Backend::Full);
-        let reference = sorted(&central.spanner);
         for r in [&congest, &local, &full] {
-            assert_eq!(
-                reference,
-                sorted(&r.spanner),
-                "{name}: {} differs",
-                r.backend
-            );
+            assert_eq!(central.spanner, r.spanner, "{name}: {} differs", r.backend);
         }
         assert_eq!(central.settled, congest.settled, "{name}");
         assert_eq!(central.rounds(), 0, "{name}");
@@ -179,7 +167,7 @@ fn observers_are_side_effect_free() {
         .observer(&mut log)
         .run()
         .unwrap();
-    assert_eq!(sorted(&silent.spanner), sorted(&watched.spanner));
+    assert_eq!(silent.spanner, watched.spanner);
     assert_eq!(silent.stats, watched.stats);
     assert_eq!(silent.settled, watched.settled);
     assert!(log.rounds_seen() > 0);
@@ -227,7 +215,7 @@ fn session_threads_knob_is_result_invariant() {
         })
         .collect();
     for r in &runs[1..] {
-        assert_eq!(sorted(&runs[0].spanner), sorted(&r.spanner));
+        assert_eq!(runs[0].spanner, r.spanner);
         assert_eq!(runs[0].stats, r.stats);
         assert_eq!(runs[0].settled, r.settled);
     }
@@ -244,7 +232,7 @@ fn session_threads_knob_is_result_invariant() {
         .threads(4)
         .run()
         .unwrap();
-    assert_eq!(sorted(&f1.spanner), sorted(&f4.spanner));
+    assert_eq!(f1.spanner, f4.spanner);
     assert_eq!(f1.stats, f4.stats);
 }
 
@@ -397,7 +385,7 @@ fn zero_message_stages_visit_only_their_declared_initial_set() {
         .backend(Backend::Congest)
         .run()
         .unwrap();
-    assert_eq!(sorted(&built.spanner), sorted(&session.spanner));
+    assert_eq!(built.spanner, session.spanner);
     assert_eq!(built.stats, session.stats);
 
     for c in &probe.calls {
