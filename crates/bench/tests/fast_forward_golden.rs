@@ -16,14 +16,18 @@ fn pref_attach(n: usize) -> Graph {
     nas_graph::generators::preferential_attachment(n, 4, 42)
 }
 
-fn run_spanner(g: &Graph, threads: usize, fast_forward: bool) -> Report {
-    Session::on(g)
+/// `threads: None` runs on the process-wide pool, sized by `NAS_THREADS`.
+fn run_spanner(g: &Graph, threads: Option<usize>, fast_forward: bool) -> Report {
+    let session = Session::on(g)
         .params(Params::practical(0.5, 4, 0.45))
         .backend(Backend::Congest)
-        .threads(threads)
-        .fast_forward(fast_forward)
-        .run()
-        .expect("valid parameters")
+        .fast_forward(fast_forward);
+    match threads {
+        Some(t) => session.threads(t),
+        None => session,
+    }
+    .run()
+    .expect("valid parameters")
 }
 
 /// Asserts the fast-forward contract between a skip-enabled baseline and a
@@ -59,9 +63,9 @@ fn assert_toggle_equivalent(on: &Report, off: &Report, label: &str) {
 #[test]
 fn fast_forward_toggle_bit_identical_pref_attach() {
     let g = pref_attach(4000);
-    let on = run_spanner(&g, 1, true);
+    let on = run_spanner(&g, Some(1), true);
     for threads in [1usize, 4] {
-        let off = run_spanner(&g, threads, false);
+        let off = run_spanner(&g, Some(threads), false);
         assert_toggle_equivalent(&on, &off, &format!("pref_attach(4000) @{threads}t"));
     }
 }
@@ -69,18 +73,20 @@ fn fast_forward_toggle_bit_identical_pref_attach() {
 /// The full-scale golden: the pinned 10^6 pref_attach invariants
 /// (7634 rounds, 63 407 237 messages, 1 000 012 spanner edges) hold with
 /// fast-forward on **and** off, verbatim. Two million-node builds — run it
-/// in release: `cargo test --release -p nas-bench -- --ignored`.
+/// in release: `cargo test --release -p nas-bench -- --ignored`. Both run
+/// on the process-wide pool, so `NAS_THREADS` sets the lanes their large
+/// rounds are sharded over (CI runs it at 2 and 3).
 #[test]
 #[ignore = "two 10^6 spanner builds; run with --release -- --ignored"]
 fn full_scale_pinned_pref_attach_invariants() {
     let g = pref_attach(1_000_000);
-    let on = run_spanner(&g, 1, true);
+    let on = run_spanner(&g, None, true);
     assert_eq!(on.stats.rounds, 7634, "pinned round count drifted");
     assert_eq!(
         on.stats.messages, 63_407_237,
         "pinned message count drifted"
     );
     assert_eq!(on.num_edges(), 1_000_012, "pinned edge count drifted");
-    let off = run_spanner(&g, 1, false);
+    let off = run_spanner(&g, None, false);
     assert_toggle_equivalent(&on, &off, "pref_attach(10^6)");
 }

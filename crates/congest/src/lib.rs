@@ -181,15 +181,22 @@
 //!   sender-ascending order — concatenating the lanes' staged streams
 //!   reproduces the one-lane staging stream exactly, no sorting needed.
 //! * **Receiver side.** Staged sends are bucketed by contiguous
-//!   *receiver ranges* (range `j` owns node ids `[j·c, (j+1)·c)`). The
-//!   counting pass runs one lane per range (each lane walks every sender
-//!   lane's bucket for its range, in lane order), and the per-range sorted
-//!   `touched` lists concatenate — again by contiguity — into the globally
-//!   sorted receiver list, so the CSR layout (`inbox_start`) matches the
-//!   one-lane counting pass value-for-value. The scatter then runs one
-//!   lane per range into *disjoint* spans of the delivery buffer, walking
-//!   sender lanes in lane order, which fills every inbox sender-ascending:
-//!   the exact delivery order the determinism contract promises.
+//!   *receiver ranges*: monotone cuts of the node ids, taken when a pool
+//!   is attached, at equal shares of in-arcs (by id on the compact
+//!   store), so a hub's deliveries do not pile onto one lane; a range may
+//!   be empty. The counting pass runs one lane per range. Each lane walks
+//!   every sender lane's bucket for its range, in lane order, and lays its
+//!   range out itself: it lists the range's receivers in id order and
+//!   gives each a start local to the range. Concatenating the ranges'
+//!   receiver lists in range order — again by contiguity — yields the
+//!   globally sorted receiver list, and the ranges' totals place each
+//!   range's span of the delivery buffer, so once the scatter adds its
+//!   span's offset every CSR start (`inbox_start`) matches the one-lane
+//!   layout value-for-value. The scatter runs one lane per range into
+//!   *disjoint* spans of the delivery buffer, walking sender lanes in lane
+//!   order, which fills every inbox sender-ascending: the exact delivery
+//!   order the determinism contract promises. Which cut is taken only
+//!   moves wall clock.
 //! * **Digest.** The per-round delivery digest folds
 //!   `(receiver, port, words)` receiver-ascending; it is a pure function of
 //!   the *previous* round's scatter, so the round computes it from the
@@ -199,8 +206,8 @@
 //! the same reason the active-set scheduler is: a [`NodeProgram`] can only
 //! read its own state and its inbox, never a neighbor's state, so rounds
 //! have no intra-round data flow. The per-lane arenas are allocated with
-//! their plane (the one-lane plane by the first run over a vertex count,
-//! a pool's by [`Simulator::set_pool`]) and reused, keeping the
+//! their plane (the one-lane plane by an arena's first run, a pool's by
+//! [`Simulator::set_pool`]) and reused, keeping the
 //! steady-state round zero-allocation on either (also pinned by
 //! `zero_alloc`). `tests/par_differential.rs` checks all of this
 //! message-for-message between unpooled runs, pools of 1/2/3/8 lanes and

@@ -476,11 +476,6 @@ trait AdjAccess: Sync {
     /// The reverse port of vertex `v` in the neighbor list of its `port`-th
     /// neighbor. Only called when [`AdjAccess::DEFERRED_PORTS`] is false.
     fn rev_port(&self, v: usize, port: usize) -> u32;
-
-    /// Shard-balancer weight proportional to `v`'s degree. The compact
-    /// store returns 0 (its degrees cost a decode); cut placement only ever
-    /// affects wall clock, never transcripts.
-    fn degree_weight(&self, v: usize) -> u64;
 }
 
 /// [`AdjAccess`] over the flat CSR: zero-copy neighbor slices plus the
@@ -510,11 +505,6 @@ impl AdjAccess for FlatAdj<'_> {
     fn rev_port(&self, v: usize, port: usize) -> u32 {
         self.rev[self.offs[v] + port]
     }
-
-    #[inline]
-    fn degree_weight(&self, v: usize) -> u64 {
-        (self.offs[v + 1] - self.offs[v]) as u64
-    }
 }
 
 /// [`AdjAccess`] over the compact store: decodes into pooled scratch and
@@ -534,11 +524,6 @@ impl AdjAccess for CompactAdj {
 
     fn rev_port(&self, _v: usize, _port: usize) -> u32 {
         unreachable!("compact-store ports are deferred to the conversion pass")
-    }
-
-    #[inline]
-    fn degree_weight(&self, _v: usize) -> u64 {
-        0
     }
 }
 
@@ -587,28 +572,65 @@ struct WorkerArena {
     adj: Vec<u32>,
 }
 
-/// Per-receiver-range merge scratch for the counting/scatter phases.
+/// Per-receiver-range scratch of the counting, layout and scatter phases.
 #[derive(Default)]
 struct RangeArena {
-    /// Receivers in this range staged this round, sorted ascending after the
-    /// counting phase.
+    /// Receivers in this range staged this round, in id order once the
+    /// counting lane has laid the range out.
     touched: Vec<u32>,
+    /// Deliveries staged into this range this round: the length of its
+    /// span of the delivery buffer.
+    total: usize,
     /// Pooled adjacency decode buffer (compact store only; empty on flat).
     adj: Vec<u32>,
+}
+
+/// A range lists its receivers by scanning its counters, which yields them
+/// in id order, once at least `1 / DENSE_RANGE` of its ids were touched;
+/// sparser ranges sort their `touched` list instead.
+const DENSE_RANGE: usize = 32;
+
+/// Fills `cuts` with the `t + 1` receiver-range boundaries over `topo`'s
+/// nodes: at equal shares of in-arcs, read off the flat store's CSR
+/// offsets, or by id on the compact store, whose degrees cost a decode.
+/// Every range then holds at most `2m / t + max_degree` in-arcs, and a
+/// range may be empty. Any monotone cut delivers the same messages in the
+/// same order; the cut only balances the counting and scatter lanes.
+fn fill_receiver_cuts(cuts: &mut Vec<usize>, topo: &Topology<'_>, t: usize) {
+    let n = topo.num_vertices();
+    match topo {
+        Topology::Flat(g) => {
+            let offs = g.csr_offsets();
+            let arcs = offs[n];
+            cuts.clear();
+            cuts.extend((0..t).map(|k| offs.partition_point(|&o| o < arcs * k / t)));
+            cuts.push(n);
+        }
+        Topology::Compact(_) => nas_par::fill_balanced_cuts(cuts, n, t),
+    }
+}
+
+/// The receiver range `u` falls in, over the `t + 1` cuts of
+/// [`fill_receiver_cuts`]: the number of inner cuts at or below `u`.
+#[inline]
+fn range_of(ncuts: &[usize], u: u32) -> usize {
+    ncuts[1..ncuts.len() - 1].partition_point(|&c| c <= u as usize)
 }
 
 /// The lanes a round is sharded over (see the crate-level "Determinism
 /// under parallelism" notes): one [`WorkerArena`] and one receiver range
 /// per lane of `pool`. Every round runs on one: the attached pool's plane
 /// ([`Simulator::set_pool`]), or the arena's one-lane plane, whose private
-/// pool spawns no thread and runs each phase inline.
+/// pool spawns no thread and runs each phase inline. Receiver ranges are
+/// contiguous id ranges, cut by [`fill_receiver_cuts`] whenever the plane
+/// is fitted to a topology: at equal shares of in-arcs, so the ranges
+/// that own the hubs are narrow, or by id on the compact store.
 struct ParPlane {
     pool: Arc<WorkerPool>,
     workers: Vec<WorkerArena>,
     ranges: Vec<RangeArena>,
-    /// Receiver-range width: receiver `u` belongs to range `u / chunk`.
-    chunk: usize,
-    /// Static node-id boundaries of the receiver ranges (`threads + 1`).
+    /// Node-id boundaries of the receiver ranges (`threads + 1`): range
+    /// `j` owns receivers `ncuts[j]..ncuts[j + 1]`.
     ncuts: Vec<usize>,
     /// Unit cuts `[0, 1, .., threads]` for one-slot-per-lane splits.
     ucuts: Vec<usize>,
@@ -621,11 +643,10 @@ struct ParPlane {
 }
 
 impl ParPlane {
-    /// A plane of `pool.threads()` lanes over `n` nodes; call
-    /// [`ParPlane::fit`] before its first round.
-    fn new(pool: Arc<WorkerPool>, n: usize) -> Self {
+    /// A plane of `pool.threads()` lanes; call [`ParPlane::fit`] before its
+    /// first round.
+    fn new(pool: Arc<WorkerPool>) -> Self {
         let t = pool.threads();
-        let chunk = n.div_ceil(t).max(1);
         ParPlane {
             workers: (0..t)
                 .map(|_| WorkerArena {
@@ -634,8 +655,7 @@ impl ParPlane {
                 })
                 .collect(),
             ranges: (0..t).map(|_| RangeArena::default()).collect(),
-            chunk,
-            ncuts: (0..=t).map(|j| (j * chunk).min(n)).collect(),
+            ncuts: Vec::with_capacity(t + 1),
             ucuts: (0..=t).collect(),
             vcuts: Vec::with_capacity(t + 1),
             pcuts: Vec::with_capacity(t + 1),
@@ -644,8 +664,11 @@ impl ParPlane {
         }
     }
 
-    /// Grows every lane's per-port flags to `max_deg` ports.
-    fn fit(&mut self, max_deg: usize) {
+    /// Cuts the receiver ranges for `topo` and grows every lane's per-port
+    /// flags to its maximum degree.
+    fn fit(&mut self, topo: &Topology<'_>) {
+        fill_receiver_cuts(&mut self.ncuts, topo, self.workers.len());
+        let max_deg = topo.max_degree();
         for w in &mut self.workers {
             if w.sent.len() < max_deg {
                 w.sent.resize(max_deg, false);
@@ -728,10 +751,10 @@ pub struct SimArena {
     /// union is built as two 2-way merges).
     visit_pre: Vec<u32>,
     /// The attached pool's lane plane, built by [`Simulator::set_pool`] and
-    /// kept for the next install on the same pool and vertex count.
+    /// kept for the next install on the same pool.
     par: Option<ParPlane>,
     /// The one-lane plane every other round runs on, built by the first
-    /// run over this vertex count and kept from then on.
+    /// run and kept from then on.
     lane: Option<ParPlane>,
 }
 
@@ -741,15 +764,19 @@ impl SimArena {
         Self::default()
     }
 
-    /// Readies the arena for a run over `n` nodes of maximum degree
-    /// `max_deg`. Messages still in flight when the previous run stopped
-    /// are dropped and its pending wake-ups disarmed, in O(leftover); the
-    /// n-sized arrays are rebuilt only when `n` changes.
-    fn reset(&mut self, n: usize, max_deg: usize) {
+    /// Readies the arena for a run over `topo`. Messages still in flight
+    /// when the previous run stopped are dropped and its pending wake-ups
+    /// disarmed, in O(leftover); the n-sized arrays are rebuilt only when
+    /// `n` changes.
+    fn reset(&mut self, topo: &Topology<'_>) {
+        let n = topo.num_vertices();
         for &r in &self.msg_active {
             self.inbox_ranges[r as usize].len = 0;
         }
         self.msg_active.clear();
+        // The receiver list never holds more than `n` ids, so the rounds
+        // that rebuild it never reallocate.
+        self.msg_active.reserve(n);
         self.nonidle.clear();
         self.disarm_timers();
         if self.inbox_ranges.len() != n {
@@ -759,13 +786,10 @@ impl SimArena {
             self.count.resize(n, 0);
             self.timer_armed.clear();
             self.timer_armed.resize(n, u64::MAX);
-            // Lane cuts are derived from `n`.
-            self.par = None;
-            self.lane = None;
         }
         self.lane
-            .get_or_insert_with(|| ParPlane::new(Arc::new(WorkerPool::new(1)), n))
-            .fit(max_deg);
+            .get_or_insert_with(|| ParPlane::new(Arc::new(WorkerPool::new(1))))
+            .fit(topo);
     }
 
     /// Cuts every message buffer back to at most `n` slots (split evenly
@@ -921,7 +945,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     ) -> Self {
         let n = topo.num_vertices();
         assert_eq!(programs.len(), n, "need exactly one program per vertex");
-        arena.reset(n, topo.max_degree());
+        arena.reset(&topo);
         if let Some(initial) = initial {
             for &v in initial {
                 assert!(v < n, "initial node {v} out of range");
@@ -970,13 +994,16 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// rounds); the steady-state round stays zero-allocation, pool or not
     /// (pinned by `tests/zero_alloc.rs`). An installed simulator whose
     /// arena already carries the lane plane of this very pool keeps it.
+    /// The receiver ranges are cut here, for the current topology: at
+    /// equal shares of in-arcs on the flat store, by id on the compact one
+    /// (a later [`Simulator::set_compact`] keeps the flat cuts).
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pooled = true;
         let par = match self.arena.par.take() {
             Some(par) if Arc::ptr_eq(&par.pool, &pool) => par,
-            _ => ParPlane::new(pool, self.n),
+            _ => ParPlane::new(pool),
         };
-        self.arena.par.insert(par).fit(self.topo.max_degree());
+        self.arena.par.insert(par).fit(&self.topo);
     }
 
     /// Detaches the worker pool; subsequent steps run on one lane.
@@ -1332,7 +1359,6 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             pool,
             workers,
             ranges,
-            chunk,
             ncuts,
             ucuts,
             vcuts,
@@ -1343,23 +1369,22 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             .expect("reset builds the one-lane plane and set_pool the pooled one");
         let pool: &WorkerPool = pool;
         let t = pool.threads();
-        let chunk = *chunk;
         let ncuts: &[usize] = ncuts;
         let ucuts: &[usize] = ucuts;
 
         // Per-round cuts. `vcuts` shards the sorted visit list by *visit
-        // cost* (1 + degree + inbox length) rather than node count, so one
-        // high-degree hub does not serialize its lane while the others
-        // idle — the skew-aware balancer. `pcuts` aligns program-slice
-        // boundaries to the smallest node id of each shard (visit ids are
-        // strictly ascending, so the shards' id ranges are disjoint and
-        // ordered). Cut placement never affects transcripts, only wall
-        // clock.
+        // cost* (1 + inbox length) rather than node count, so a node with
+        // a long inbox does not serialize its lane while the others idle
+        // (a hub's `send_all` stages one record per receiver range, not
+        // one per neighbor, so its degree is not a visit cost). `pcuts`
+        // aligns program-slice boundaries to the smallest node id of each
+        // shard (visit ids are strictly ascending, so the shards' id
+        // ranges are disjoint and ordered). Cut placement never affects
+        // transcripts, only wall clock.
         {
             let inbox_ranges: &[InboxRange] = inbox_ranges;
             nas_par::fill_balanced_cuts_weighted(vcuts, visit.len(), t, |i| {
-                let v = visit[i] as usize;
-                1 + adj.degree_weight(v) + u64::from(inbox_ranges[v].len)
+                1 + u64::from(inbox_ranges[visit[i] as usize].len)
             });
         }
         pcuts.clear();
@@ -1444,12 +1469,11 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                 // counting/scatter phases.
                                 let mut lo = 0usize;
                                 while lo < deg {
-                                    let j = neighbors[lo] as usize / chunk;
-                                    let hi = neighbors
-                                        .partition_point(|&u| (u as usize) < (j + 1) * chunk);
+                                    let j = range_of(ncuts, neighbors[lo]);
+                                    let end = ncuts[j + 1];
+                                    lo += neighbors[lo..].partition_point(|&u| (u as usize) < end);
                                     arena.buckets[j]
                                         .push((BCAST_RECV, Incoming { from_port: vu, msg }));
-                                    lo = hi;
                                 }
                                 arena.words += (msg.len() * deg) as u64;
                                 arena.staged += deg as u64;
@@ -1460,10 +1484,8 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                 } else {
                                     adj.rev_port(v, port as usize)
                                 };
-                                // One lane has one receiver range; skip the
-                                // per-message division (measurably slower).
-                                let j = if t == 1 { 0 } else { u as usize / chunk };
-                                arena.buckets[j].push((u, Incoming { from_port, msg }));
+                                arena.buckets[range_of(ncuts, u)]
+                                    .push((u, Incoming { from_port, msg }));
                                 arena.words += msg.len() as u64;
                                 arena.staged += 1;
                             }
@@ -1478,23 +1500,32 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             );
         }
 
-        // Phase B (parallel over receiver ranges): each lane counts the
-        // staged messages landing in its node-id range — walking every
-        // sender lane's bucket for that range — and collects + sorts its
-        // touched receivers.
+        // Phase B (parallel over receiver ranges): each lane lays out its
+        // own node-id range. It retires the range's consumed inboxes,
+        // counts the staged messages landing in the range (walking every
+        // sender lane's bucket for it), lists the touched receivers in id
+        // order, and gives each a range-local start, zeroing its counter.
         {
             let workers_ro: &[WorkerArena] = workers;
-            nas_par::for_each_part_mut2(
+            let msg_active: &[u32] = msg_active;
+            nas_par::for_each_part_mut3(
                 pool,
                 count.as_mut_slice(),
                 ncuts,
+                inbox_ranges.as_mut_slice(),
+                ncuts,
                 ranges.as_mut_slice(),
                 ucuts,
-                |j, count_part, range| {
+                |j, count_part, rng_part, range| {
                     let range = &mut range[0];
+                    let (lo, hi) = (ncuts[j], ncuts[j + 1]);
+                    let a = msg_active.partition_point(|&r| (r as usize) < lo);
+                    let b = msg_active.partition_point(|&r| (r as usize) < hi);
+                    for &r in &msg_active[a..b] {
+                        rng_part[r as usize - lo].len = 0;
+                    }
                     range.touched.clear();
-                    let lo = ncuts[j] as u32;
-                    let hi = ncuts[j + 1] as u32;
+                    let (lo, hi) = (lo as u32, hi as u32);
                     for arena in workers_ro {
                         for &(u, inc) in &arena.buckets[j] {
                             if u == BCAST_RECV {
@@ -1519,34 +1550,50 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                             }
                         }
                     }
-                    range.touched.sort_unstable();
+                    // Lay the range out while listing it: a dense range
+                    // scans its counters, a sparse one sorts `touched`.
+                    let mut acc = 0usize;
+                    let mut place = |idx: usize, c: &mut u32| {
+                        rng_part[idx].start = acc as u32;
+                        acc += *c as usize;
+                        *c = 0;
+                    };
+                    if range.touched.len() * DENSE_RANGE >= count_part.len() {
+                        range.touched.clear();
+                        for (idx, c) in count_part.iter_mut().enumerate() {
+                            if *c != 0 {
+                                range.touched.push(lo + idx as u32);
+                                place(idx, c);
+                            }
+                        }
+                    } else {
+                        range.touched.sort_unstable();
+                        for &r in &range.touched {
+                            let idx = (r - lo) as usize;
+                            place(idx, &mut count_part[idx]);
+                        }
+                    }
+                    range.total = acc;
                 },
             );
         }
 
-        // Phase C (merge, on the calling thread): retire the consumed
-        // inboxes, then lay out next round's CSR ranges and receiver list.
-        // Concatenating the per-range sorted touched lists in range order
-        // *is* the globally sorted receiver list, so every `start` is the
-        // same at every lane count.
-        for &r in msg_active.iter() {
-            inbox_ranges[r as usize].len = 0;
-        }
+        // Phase C (on the calling thread): concatenating the per-range
+        // receiver lists in range order *is* the globally sorted receiver
+        // list, and the ranges' totals place each range's span of the
+        // delivery buffer, so every global start is the same at every lane
+        // count.
         msg_active.clear();
         dcuts.clear();
         let mut acc = 0usize;
         for range in ranges.iter() {
             dcuts.push(acc);
-            for &r in &range.touched {
-                msg_active.push(r);
-                inbox_ranges[r as usize].start = acc as u32;
-                acc += count[r as usize] as usize;
-                count[r as usize] = 0;
-            }
+            msg_active.extend_from_slice(&range.touched);
+            acc += range.total;
         }
         dcuts.push(acc);
-        // Truncated `start` writes above are only read by the scatter
-        // below, so this assert precedes every such read.
+        // Truncated range-local `start` writes above are only read by the
+        // scatter below, so this assert precedes every such read.
         assert!(
             acc <= u32::MAX as usize,
             "a single round staged more than u32::MAX deliveries"
@@ -1554,16 +1601,16 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         // The swap buffer is grow-only: the scatter below writes every slot
         // of `[0, acc)`, and slots past `acc` are never read (all reads go
         // through `inbox_ranges`), so the placeholder fill is paid once at
-        // peak size instead of every round.
-        if next_data.len() < acc {
-            next_data.resize(
-                acc,
-                Incoming {
-                    from_port: 0,
-                    msg: Msg::one(0),
-                },
-            );
-        }
+        // peak size instead of every round, shared over the lanes.
+        nas_par::grow(
+            pool,
+            next_data,
+            acc,
+            Incoming {
+                from_port: 0,
+                msg: Msg::one(0),
+            },
+        );
         // The previous non-idle set was consumed by `build_visit`; the
         // lanes' lists concatenate into the next one, ascending.
         nonidle.clear();
@@ -1599,7 +1646,8 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         // (see [`crate::msg`]); the merge result is a pure function of the
         // staged message set, so it is thread-count independent. Each
         // range's `len` doubles as the per-receiver fill cursor and ends at
-        // its final (post-merge) value.
+        // its final (post-merge) value, and its range-local `start` turns
+        // global last.
         let merged_total = AtomicU64::new(0);
         {
             let workers_ro: &[WorkerArena] = workers;
@@ -1614,7 +1662,6 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                 ucuts,
                 |j, data_part, rng_part, range| {
                     let range = &mut range[0];
-                    let base = dcuts[j];
                     let lo = ncuts[j];
                     let hi = ncuts[j + 1];
                     for arena in workers_ro {
@@ -1631,8 +1678,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                         adj.rev_port(s, a + off)
                                     };
                                     let rg = &mut rng_part[u2 as usize - lo];
-                                    let pos = rg.start as usize + rg.len as usize;
-                                    data_part[pos - base] = Incoming {
+                                    data_part[(rg.start + rg.len) as usize] = Incoming {
                                         from_port,
                                         msg: inc.msg,
                                     };
@@ -1640,8 +1686,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                 }
                             } else {
                                 let rg = &mut rng_part[u as usize - lo];
-                                let pos = rg.start as usize + rg.len as usize;
-                                data_part[pos - base] = inc;
+                                data_part[(rg.start + rg.len) as usize] = inc;
                                 rg.len += 1;
                             }
                         }
@@ -1653,7 +1698,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                     if A::DEFERRED_PORTS {
                         for &r in &range.touched {
                             let rg = rng_part[r as usize - lo];
-                            let start = rg.start as usize - base;
+                            let start = rg.start as usize;
                             let nb = adj.adj(r as usize, &mut range.adj);
                             convert_deferred_ports(
                                 &mut data_part[start..start + rg.len as usize],
@@ -1661,19 +1706,17 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                             );
                         }
                     }
+                    let base = dcuts[j] as u32;
                     let mut merged_here = 0u64;
                     for &r in &range.touched {
-                        let r = r as usize;
-                        let rg = rng_part[r - lo];
-                        let len = rg.len as usize;
+                        let rg = &mut rng_part[r as usize - lo];
+                        let (start, len) = (rg.start as usize, rg.len as usize);
                         if len > 1 {
-                            let start = rg.start as usize - base;
                             let new_len = merge_range(&mut data_part[start..start + len]);
-                            if new_len != len {
-                                merged_here += (len - new_len) as u64;
-                                rng_part[r - lo].len = new_len as u32;
-                            }
+                            merged_here += (len - new_len) as u64;
+                            rg.len = new_len as u32;
                         }
+                        rg.start += base;
                     }
                     if merged_here != 0 {
                         merged_total.fetch_add(merged_here, Ordering::Relaxed);
@@ -2373,6 +2416,54 @@ mod tests {
             assert_eq!(dist(&sim), dist(&fresh));
             arena = sim.into_parts().1;
         }
+    }
+
+    /// Receiver cuts are monotone from 0 to n, every range holds at most
+    /// `2m / t + max_degree` in-arcs, empty ranges are allowed, and
+    /// `range_of` routes every id into the range that owns it.
+    #[test]
+    fn receiver_cuts_balance_in_arcs() {
+        let mut hub_last = nas_graph::GraphBuilder::new(40);
+        for v in 0..39 {
+            hub_last.add_edge(v, 39);
+        }
+        let graphs = [
+            generators::star(50),
+            hub_last.build(),
+            generators::preferential_attachment(500, 3, 9),
+            generators::grid2d(7, 9),
+            nas_graph::GraphBuilder::new(12).build(),
+            generators::path(1),
+        ];
+        let mut cuts = Vec::new();
+        let mut empty_ranges = 0;
+        for g in &graphs {
+            let (n, offs) = (g.num_vertices(), g.csr_offsets());
+            for t in [1, 2, 3, 8] {
+                fill_receiver_cuts(&mut cuts, &Topology::Flat(g), t);
+                assert_eq!(cuts.len(), t + 1);
+                assert_eq!((cuts[0], cuts[t]), (0, n));
+                for j in 0..t {
+                    assert!(cuts[j] <= cuts[j + 1], "cuts {cuts:?}");
+                    let arcs = offs[cuts[j + 1]] - offs[cuts[j]];
+                    assert!(arcs <= g.degree_sum() / t + g.max_degree(), "cuts {cuts:?}");
+                    empty_ranges += usize::from(cuts[j] == cuts[j + 1]);
+                }
+                for u in 0..n {
+                    let j = range_of(&cuts, u as u32);
+                    assert!(cuts[j] <= u && u < cuts[j + 1], "{u} in {cuts:?}");
+                }
+            }
+        }
+        assert!(empty_ranges > 0);
+        // The star's hub holds half the arcs: at 2 lanes it is a range of
+        // its own.
+        fill_receiver_cuts(&mut cuts, &Topology::Flat(&graphs[0]), 2);
+        assert_eq!(cuts, [0, 1, 50]);
+        // The compact store cuts by id.
+        let compact = Topology::Compact(Arc::new(CompactGraph::from_graph(&graphs[0])));
+        fill_receiver_cuts(&mut cuts, &compact, 3);
+        assert_eq!(cuts, nas_par::balanced_cuts(50, 3));
     }
 
     /// Sleeps on a timed wake-up and counts the visits at that round.

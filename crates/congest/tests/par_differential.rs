@@ -309,3 +309,102 @@ fn pool_can_be_detached_mid_run() {
     );
     assert_eq!(snapshot(par.programs()), snapshot(seq.programs()));
 }
+
+/// Broadcast traffic for the skewed-cut tests: starters `send_all` in
+/// round 0, and every node that hears a wave with TTL left passes it on,
+/// even ids by `send_all` and odd ids over every other port. Hubs thus
+/// stage broadcast records that span several receiver ranges. Every
+/// delivery is logged.
+#[derive(Clone)]
+struct Wave {
+    id: u64,
+    log: Vec<(u64, u32, u64, u64)>,
+}
+
+impl NodeProgram for Wave {
+    fn round(&mut self, ctx: &mut RoundCtx<'_>) {
+        let mut best: Option<(u64, u64)> = None;
+        for inc in ctx.inbox() {
+            let (w0, ttl) = (inc.msg.word(0), inc.msg.word(1));
+            self.log.push((ctx.round(), inc.from_port, w0, ttl));
+            if ttl > 0 && best.is_none_or(|(b, _)| w0 < b) {
+                best = Some((w0, ttl - 1));
+            }
+        }
+        if ctx.round() == 0 && self.id.is_multiple_of(3) {
+            ctx.send_all(Msg::two(mix(self.id), 3));
+        } else if let Some((w0, ttl)) = best {
+            if self.id.is_multiple_of(2) {
+                ctx.send_all(Msg::two(mix(w0 ^ self.id), ttl));
+            } else {
+                for port in (0..ctx.degree()).step_by(2) {
+                    ctx.send(port, Msg::two(mix(w0 ^ port as u64), ttl));
+                }
+            }
+        }
+    }
+}
+
+/// Skewed receiver cuts. Ranges cut at equal shares of in-arcs fall far
+/// from the id cuts on a star, whose hub holds half the arcs (at 8 lanes
+/// three ranges come out empty), and on a path whose hub is the highest
+/// id; an edgeless graph leaves every range but the last empty, and a
+/// single vertex every range but one. Pooled runs at 2, 3 and 8 lanes
+/// match the unpooled run and the reference simulator: transcripts, stats
+/// and every node's delivery log.
+#[test]
+fn skewed_receiver_cuts_are_bit_identical() {
+    let mut hub_last = nas_graph::GraphBuilder::new(60);
+    for v in 0..59 {
+        hub_last.add_edge(v, 59);
+        if v + 1 < 59 {
+            hub_last.add_edge(v, v + 1);
+        }
+    }
+    let graphs = [
+        generators::star(50),
+        hub_last.build(),
+        nas_graph::GraphBuilder::new(12).build(),
+        generators::path(1),
+    ];
+    let rounds = 8;
+    for g in &graphs {
+        let n = g.num_vertices();
+        let wave = || -> Vec<Wave> {
+            (0..n)
+                .map(|v| Wave {
+                    id: v as u64,
+                    log: Vec::new(),
+                })
+                .collect()
+        };
+        let logs = |programs: &[Wave]| -> Vec<Vec<(u64, u32, u64, u64)>> {
+            programs.iter().map(|p| p.log.clone()).collect()
+        };
+        let run_wave = |lanes: Option<usize>| {
+            let mut sim = Simulator::new(g, wave());
+            if let Some(lanes) = lanes {
+                sim.set_pool(Arc::new(WorkerPool::new(lanes)));
+                sim.set_par_threshold(0);
+            }
+            sim.enable_transcript();
+            sim.run_rounds(rounds);
+            (
+                sim.transcript().unwrap().digest(),
+                *sim.stats(),
+                logs(sim.programs()),
+            )
+        };
+        let want = run_wave(None);
+        for lanes in [2, 3, 8] {
+            assert_eq!(run_wave(Some(lanes)), want, "n = {n}, {lanes} lanes");
+        }
+        let mut reference = ReferenceSimulator::new(g, wave());
+        reference.enable_transcript();
+        reference.run_rounds(rounds);
+        assert_eq!(reference.transcript().unwrap().digest(), want.0, "n = {n}");
+        assert_eq!(reference.stats(), &want.1, "n = {n}");
+        assert_eq!(logs(reference.programs()), want.2, "n = {n}");
+        assert_eq!(want.1.messages > 0, g.num_edges() > 0, "n = {n}");
+    }
+}

@@ -101,8 +101,13 @@ fn ring_on_cycle() {
 
 /// The guarantee holds on irregular topologies too: a preferential-
 /// attachment graph has wildly varying degrees, so inbox ranges differ
-/// per node and per round.
+/// per node and per round. It runs on one lane and on a 2-lane pool,
+/// whose receiver ranges are cut by in-arcs and laid out by their own
+/// lanes, and whose delivery buffer grows on both lanes.
 fn echo_on_irregular_graph() {
+    use nas_par::WorkerPool;
+    use std::sync::Arc;
+
     let n = 300;
     let g = generators::preferential_attachment(n, 3, 7);
 
@@ -122,20 +127,26 @@ fn echo_on_irregular_graph() {
         }
     }
 
-    let programs: Vec<Echo> = (0..n).map(|_| Echo).collect();
-    let mut sim = Simulator::new(&g, programs);
-    sim.run_rounds(16);
+    for lanes in [None, Some(2)] {
+        let programs: Vec<Echo> = (0..n).map(|_| Echo).collect();
+        let mut sim = Simulator::new(&g, programs);
+        if let Some(lanes) = lanes {
+            sim.set_pool(Arc::new(WorkerPool::new(lanes)));
+            sim.set_par_threshold(0);
+        }
+        sim.run_rounds(16);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sim.run_rounds(128);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "Simulator::step allocated in steady state on irregular graph"
-    );
-    // Every edge carries a message in both directions every round.
-    assert_eq!(sim.stats().messages, (16 + 128) * 2 * g.num_edges() as u64);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        sim.run_rounds(128);
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "Simulator::step allocated in steady state on irregular graph ({lanes:?} lanes)"
+        );
+        // Every edge carries a message in both directions every round.
+        assert_eq!(sim.stats().messages, (16 + 128) * 2 * g.num_edges() as u64);
+    }
 }
 
 /// The guarantee survives sharding over several lanes: per-lane arenas are

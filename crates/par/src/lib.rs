@@ -18,7 +18,8 @@
 //!   *contiguous, disjoint* parts
 //!   of mutable slices, one part per worker. Contiguity is the determinism
 //!   lever: concatenating per-part results in part order reproduces exactly
-//!   the sequential left-to-right order.
+//!   the sequential left-to-right order. [`grow`] lengthens a `Vec` with
+//!   every lane writing a share of the new slots.
 //!
 //! The thread count defaults to the `NAS_THREADS` environment variable when
 //! set (this is how CI exercises the 1-thread and 4-thread paths on every
@@ -332,16 +333,20 @@ pub fn balanced_cuts(len: usize, parts: usize) -> Vec<usize> {
 /// weights — deterministic for a fixed input, and (like all cut choices)
 /// never observable in transcripts, only in wall clock.
 ///
-/// Single pass over the weights; reuses `out`'s capacity (no allocation
-/// once the capacity is `parts + 1`).
+/// Single pass over the weights, and none for `parts <= 1`, whose one cut
+/// is `[0, len]` whatever the weights; reuses `out`'s capacity (no
+/// allocation once the capacity is `parts + 1`).
 pub fn fill_balanced_cuts_weighted<W: Fn(usize) -> u64>(
     out: &mut Vec<usize>,
     len: usize,
     parts: usize,
     weight: W,
 ) {
-    let parts = parts.max(1);
     out.clear();
+    if parts <= 1 {
+        out.extend([0, len]);
+        return;
+    }
     let mut total: u64 = 0;
     for i in 0..len {
         total += weight(i);
@@ -578,6 +583,41 @@ where
     });
 }
 
+/// Grows `v` to `len` elements, each new one a clone of `value`; a no-op
+/// when `v` already holds `len` or more. Capacity grows as under
+/// [`Vec::resize`], and every lane of `pool` writes an equal share of the
+/// new slots, so the first touch of a large fresh buffer (page faults
+/// included) is spread over the lanes instead of falling on the caller.
+///
+/// # Panics
+///
+/// Propagates a panic of `value.clone()` on any lane; `v` then keeps its
+/// old length (the slots already written are leaked, never dropped).
+pub fn grow<T: Clone + Send + Sync>(pool: &WorkerPool, v: &mut Vec<T>, len: usize, value: T) {
+    let old = v.len();
+    if len <= old {
+        return;
+    }
+    let extra = len - old;
+    v.reserve(extra);
+    let t = pool.threads();
+    let base = SharedBase(v.spare_capacity_mut()[..extra].as_mut_ptr());
+    let value = &value;
+    pool.broadcast(move |i| {
+        let (a, b) = (i * extra / t, (i + 1) * extra / t);
+        // SAFETY: `[a, b)` lies inside the `extra` spare slots taken above,
+        // and the lanes' ranges are disjoint.
+        let part = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(a), b - a) };
+        for slot in part {
+            slot.write(value.clone());
+        }
+    });
+    // SAFETY: the lanes' ranges cover `[0, extra)`, so every slot in
+    // `old..len` was written above (a lane panic unwinds out of
+    // `broadcast` before this line), and `len <= capacity` by `reserve`.
+    unsafe { v.set_len(len) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,6 +804,34 @@ mod tests {
         }
         // All-zero weights degrade to count balancing, still a partition.
         assert_eq!(balanced_cuts_weighted(10, 2, |_| 0), balanced_cuts(10, 2));
+    }
+
+    #[test]
+    fn one_part_cuts_read_no_weight() {
+        for parts in [0, 1] {
+            let cuts = balanced_cuts_weighted(9, parts, |_| -> u64 { panic!("weight read") });
+            assert_eq!(cuts, [0, 9]);
+        }
+    }
+
+    #[test]
+    fn grow_fills_the_new_slots_on_every_lane() {
+        for threads in [1, 2, 3, 8] {
+            let pool = WorkerPool::new(threads);
+            let mut v = vec![1u32, 2];
+            grow(&pool, &mut v, 2, 9);
+            grow(&pool, &mut v, 1, 9);
+            assert_eq!(v, [1, 2], "shorter or equal lengths keep v");
+            grow(&pool, &mut v, 5, 7);
+            grow(&pool, &mut v, 1000, 3);
+            assert_eq!(v.len(), 1000);
+            assert_eq!(v[..5], [1, 2, 7, 7, 7]);
+            assert!(v[5..].iter().all(|&x| x == 3), "threads = {threads}");
+        }
+        let pool = WorkerPool::new(3);
+        let mut names = vec![String::from("a")];
+        grow(&pool, &mut names, 4, String::from("b"));
+        assert_eq!(names, ["a", "b", "b", "b"]);
     }
 
     #[test]
