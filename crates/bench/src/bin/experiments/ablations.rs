@@ -1,21 +1,19 @@
-//! Ablations of three design choices:
-//!
-//! 1. ruling-set iteration count `c`: domination radius vs round cost;
-//! 2. the time/size knob `ρ`: phase count, thresholds, measured rounds;
-//! 3. paper vs practical constants: schedule magnitudes.
-//!
-//! Usage: `ablations [--seed S] [--threads T]`
+//! Ablations of three design choices.
 
-use nas_bench::{default_params, BenchCli};
+use crate::harness::default_params;
+use nas_bench::BenchCli;
 use nas_congest::{RunHooks, SimArena};
 use nas_core::{Backend, Params, Session};
 use nas_graph::generators;
 use nas_metrics::{tables::fmt_f64, TableBuilder};
 use nas_ruling::{ruling_set_distributed, verify_ruling_set, RulingParams};
 
-fn main() {
-    let cli = BenchCli::parse();
-    cli.init_pool();
+/// Ablations of three design choices:
+///
+/// 1. ruling-set iteration count `c`: domination radius vs round cost;
+/// 2. the time/size knob `ρ`: phase count, thresholds, measured rounds;
+/// 3. paper vs practical constants: schedule magnitudes.
+pub fn ablations(cli: &BenchCli) {
     // Per-experiment defaults reproduce the pre-BenchCli outputs exactly.
     ablation_ruling_c(cli.seed(5));
     ablation_rho(cli.seed(3));

@@ -1,10 +1,8 @@
-//! Shared command-line parsing for the experiment binaries.
+//! Shared command-line parsing for the bench and serve binaries.
 //!
-//! Every `src/bin/` binary used to hand-roll its own `--threads` /
-//! `--smoke` / `--seed` parsing (or support none at all). [`BenchCli`]
-//! centralizes the dialect — space-separated `--flag [value]` pairs, no
-//! external dependencies — so all twelve binaries accept the same switches
-//! with the same semantics:
+//! [`BenchCli`] is one dialect — space-separated `--flag [value]` pairs, no
+//! external dependencies — so every binary accepts the same switches with
+//! the same semantics:
 //!
 //! * `--threads T` — size of the process-wide `nas-par` worker pool
 //!   ([`BenchCli::init_pool`]); defaults to `NAS_THREADS`, else available
@@ -21,8 +19,9 @@
 //!   compressed plane (bit-identical transcripts, smaller resident set).
 //!
 //! Binaries with extra switches (e.g. `sim_scaling`'s
-//! `--compare-threads`) read them through the generic accessors
-//! ([`BenchCli::flag`], [`BenchCli::opt_str`], [`BenchCli::opt_usize`]).
+//! `--compare-threads`, `experiments`' `--preset`) read them through the
+//! generic accessors ([`BenchCli::flag`], [`BenchCli::opt_str`],
+//! [`BenchCli::opt_usize`]).
 
 use nas_graph::WeightDist;
 

@@ -264,14 +264,12 @@ impl PhaseEngine for CongestEngine {
         delta: u64,
         hooks: &mut RunHooks<'_>,
     ) -> Interconnection {
-        // Trace-backs complete within δ·(deg+1) + 4 rounds (Lemma 2.6's
-        // pipelining argument with our exact constants).
-        let max_rounds = deg as u64 * delta + delta + 4;
         let run = interconnect::interconnect_distributed(
             g,
             info,
             initiators,
-            max_rounds,
+            deg,
+            delta,
             &mut self.arena,
             hooks,
         );

@@ -36,7 +36,7 @@
 
 use crate::algo1::{algo1_rounds, Algo1Protocol, Knowledge};
 use crate::driver::{PhaseStats, SpannerResult};
-use crate::interconnect::TraceProtocol;
+use crate::interconnect::{interconnect_rounds, TraceProtocol};
 use crate::params::{Params, Schedule};
 use crate::session::{Conduit, SessionError};
 use crate::supercluster::SuperclusterProtocol;
@@ -74,7 +74,7 @@ fn windows(schedule: &Schedule) -> Vec<Windows> {
             t += SuperclusterProtocol::total_rounds(schedule.sc_depth(i));
         }
         let inter = t;
-        t += delta * (deg as u64 + 1) + 2;
+        t += interconnect_rounds(deg, delta);
         out.push(Windows {
             algo1: a1,
             ruling,

@@ -166,14 +166,25 @@ impl<K: Borrow<Knowledge>> NodeProgram for TraceProtocol<K> {
     }
 }
 
+/// Rounds the distributed interconnection step may take: `δ·(deg+1) + 2`.
+///
+/// A node forwards each center once and knows at most `deg + 1` centers,
+/// so an entry waits at most `deg` rounds in its port's queue; parent
+/// chains are at most `δ` hops long, so the last delivery lands by round
+/// `δ·(deg+1)`. The composite protocol's interconnection window is this
+/// same budget.
+pub fn interconnect_rounds(deg: usize, delta: u64) -> u64 {
+    delta * (deg as u64 + 1) + 2
+}
+
 /// Runs the distributed interconnection step, installed into `arena`.
 ///
-/// `max_rounds` caps the run (use `deg·δ + δ + 4`); the protocol must go
-/// quiet within it, which is asserted. The run reports to `hooks`' round
-/// observer (which may cancel it) and attaches `hooks`' worker pool. On
-/// cancellation (`hooks.stopped`) the must-go-quiet assertion is waived and
-/// the returned edges are partial — callers must check the flag and discard
-/// them.
+/// The run is capped at [`interconnect_rounds`]`(deg, delta)`; the
+/// protocol must go quiet within it, which is asserted. The run reports to
+/// `hooks`' round observer (which may cancel it) and attaches `hooks`'
+/// worker pool. On cancellation (`hooks.stopped`) the must-go-quiet
+/// assertion is waived and the returned edges are partial — callers must
+/// check the flag and discard them.
 ///
 /// Only the initiators act in the first round (see [`Simulator::install`]),
 /// so a step without initiators executes one empty round. The programs
@@ -182,10 +193,12 @@ pub fn interconnect_distributed(
     g: &Graph,
     info: &PopularityInfo,
     initiators: &[usize],
-    max_rounds: u64,
+    deg: usize,
+    delta: u64,
     arena: &mut SimArena,
     hooks: &mut RunHooks<'_>,
 ) -> (Interconnection, RunStats) {
+    let max_rounds = interconnect_rounds(deg, delta);
     let n = g.num_vertices();
     let mut is_initiator = vec![false; n];
     for &v in initiators {
@@ -225,14 +238,16 @@ mod tests {
         g: &Graph,
         info: &PopularityInfo,
         initiators: &[usize],
-        max_rounds: u64,
+        deg: usize,
+        delta: u64,
     ) -> (Interconnection, RunStats) {
         let mut arena = SimArena::new();
         interconnect_distributed(
             g,
             info,
             initiators,
-            max_rounds,
+            deg,
+            delta,
             &mut arena,
             &mut RunHooks::none(),
         )
@@ -254,8 +269,7 @@ mod tests {
             .collect();
         let initiators = initiators.as_slice();
         let a = interconnect_centralized(g, &info, initiators);
-        let max = deg as u64 * delta + delta + 4;
-        let (b, _) = run(g, &info, initiators, max);
+        let (b, _) = run(g, &info, initiators, deg, delta);
 
         assert_eq!(a.edges, b.edges, "edge sets differ");
         assert_eq!(a.paths, b.paths);
@@ -313,7 +327,7 @@ mod tests {
         let a = interconnect_centralized(&g, &info, &[]);
         assert!(a.edges.is_empty());
         assert_eq!(a.paths, 0);
-        let (b, stats) = run(&g, &info, &[], 50);
+        let (b, stats) = run(&g, &info, &[], 3, 2);
         assert!(b.edges.is_empty());
         // Quiet immediately after the first round.
         assert!(stats.rounds <= 2);
@@ -327,7 +341,7 @@ mod tests {
         let info = algo1_centralized(&g, &[true; 6], 10, 2);
         let initiators = vec![2, 3, 4, 5];
         let a = interconnect_centralized(&g, &info, &initiators);
-        let (b, _) = run(&g, &info, &initiators, 100);
+        let (b, _) = run(&g, &info, &initiators, 10, 2);
         assert_eq!(a.edges, b.edges);
         // Star has only 5 edges; all get added.
         assert_eq!(a.edges.len(), 5);

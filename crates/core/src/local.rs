@@ -32,7 +32,7 @@
 use crate::algo1::{algo1_centralized, PopularityInfo};
 use crate::engine::PhaseEngine;
 use crate::interconnect::{interconnect_centralized, Interconnection};
-use crate::supercluster::{supercluster_centralized, Superclustering};
+use crate::supercluster::{supercluster_centralized, SuperclusterProtocol, Superclustering};
 use nas_congest::{RunHooks, RunStats};
 use nas_graph::Graph;
 use nas_ruling::{ruling_set_centralized, RulingParams, RulingProtocol, RulingSet};
@@ -107,7 +107,7 @@ impl PhaseEngine for LocalEngine {
         depth: u64,
         _hooks: &mut RunHooks<'_>,
     ) -> Superclustering {
-        self.charge(2 * depth + 2);
+        self.charge(SuperclusterProtocol::total_rounds(depth));
         supercluster_centralized(g, roots, centers, depth)
     }
 

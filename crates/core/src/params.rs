@@ -357,7 +357,8 @@ impl Schedule {
     /// In `Mode::Paper` this reduces to the paper's `(1+ε, β)` with the
     /// eq. (1) constants; in `Mode::Practical` (large internal `ε`) the
     /// multiplicative term is deliberately loose — the measured stretch sits
-    /// far below it (see the stretch_audit experiment).
+    /// far below it (see the `stretch_audit` preset of the `experiments`
+    /// binary).
     pub fn stretch_envelope(&self) -> (f64, f64) {
         let eps = self.eps_internal;
         let seg_beta = |i: usize| -> f64 {

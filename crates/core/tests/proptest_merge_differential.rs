@@ -12,7 +12,7 @@
 
 use nas_congest::{NodeProgram, ReferenceSimulator, Simulator};
 use nas_core::algo1::{algo1_rounds, Algo1Protocol};
-use nas_core::interconnect::TraceProtocol;
+use nas_core::interconnect::{interconnect_rounds, TraceProtocol};
 use nas_core::supercluster::SuperclusterProtocol;
 use nas_core::{Backend, Params, Session};
 use nas_graph::{generators, Graph, GraphBuilder};
@@ -172,8 +172,8 @@ proptest! {
         let centers = vec![true; n];
         let info = nas_core::algo1::algo1_centralized(&g, &centers, deg, delta);
         let mk = |v: usize| TraceProtocol::new(v.is_multiple_of(init_stride), &info.knowledge[v]);
-        // Generous fixed window; both planes must have drained inside it.
-        let rounds = delta * (deg as u64 + 1) + 2;
+        // The step's own budget; both planes must have drained inside it.
+        let rounds = interconnect_rounds(deg, delta);
         let want = run_reference(&g, (0..n).map(mk).collect(), rounds);
         for (lanes, bcast, ff) in GRID {
             let got = run_merged(&g, (0..n).map(mk).collect(), rounds, lanes, bcast, ff);

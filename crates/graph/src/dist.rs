@@ -31,11 +31,10 @@
 //! # Sentinel convention
 //!
 //! `UNREACHED == u32::MAX` marks a vertex not reached by the traversal.
-//! Every dense structure in the plane ([`DistanceMap`], [`DistanceBatch`],
-//! [`crate::apsp::DistanceMatrix`]) shares this one sentinel; `get`-style
-//! accessors translate it to `None` at the edges of the plane. Real hop
-//! distances never collide with it (a simple graph on `n` vertices has
-//! eccentricity `< n ≤ u32::MAX`).
+//! Every dense structure in the plane ([`DistanceMap`], [`DistanceBatch`])
+//! shares this one sentinel; `get`-style accessors translate it to `None`
+//! at the edges of the plane. Real hop distances never collide with it (a
+//! simple graph on `n` vertices has eccentricity `< n ≤ u32::MAX`).
 //!
 //! # Scratch-reuse contract
 //!
@@ -412,11 +411,6 @@ impl DistanceBatch {
         // `chunks_exact(0)` panics; an empty batch has no rows to yield.
         let width = self.width.max(1);
         self.data.chunks_exact(width)
-    }
-
-    /// Consumes the batch, returning the flat row-major data.
-    pub fn into_data(self) -> Vec<u32> {
-        self.data
     }
 
     fn reset(&mut self, rows: usize, width: usize) {

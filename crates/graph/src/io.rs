@@ -34,10 +34,12 @@
 //! With a header, edges flow straight into the graph builder; edge-list
 //! lines before one are buffered as `u32` triples until `n` is known, so
 //! peak memory is the builder's edge buffer, never the file. Errors carry
-//! their 1-based line number. A second header, a header beyond the `u32`
-//! id range, and an id before any header that puts `max id + 1` beyond it
-//! are [`ParseGraphError::BadLine`]; an id outside a declared header is
-//! [`ParseGraphError::VertexOutOfRange`], as the line wrote it.
+//! their 1-based line number. A second header is
+//! [`ParseGraphError::BadLine`]; a header's `n`, or the `max id + 1` of a
+//! line before any header, above [`MAX_TEXT_VERTICES`] is
+//! [`ParseGraphError::TooLarge`], checked before anything is sized; an id
+//! outside a declared header is [`ParseGraphError::VertexOutOfRange`], as
+//! the line wrote it.
 
 use crate::builder::GraphBuilder;
 use crate::compact::{CompactError, CompactGraph};
@@ -45,6 +47,13 @@ use crate::graph::Graph;
 use crate::weighted::{WeightedGraph, WeightedGraphBuilder};
 use std::fmt;
 use std::io::{BufRead, Read, Write};
+
+/// The most vertices a text graph may declare or imply: 2^27, above every
+/// graph the repository builds (the largest is the 10^7-vertex grid). The
+/// text readers size the graph from `n` before reading its edges, so a
+/// larger claim is [`ParseGraphError::TooLarge`] rather than an allocation
+/// that could abort the process.
+pub const MAX_TEXT_VERTICES: usize = 1 << 27;
 
 /// Errors from graph parsing.
 #[derive(Debug)]
@@ -67,6 +76,14 @@ pub enum ParseGraphError {
         /// The declared vertex count.
         n: usize,
     },
+    /// A header's vertex count, or the `max id + 1` of a line before any
+    /// header, above [`MAX_TEXT_VERTICES`].
+    TooLarge {
+        /// 1-based line number.
+        line: usize,
+        /// The vertex count the line asks for.
+        n: usize,
+    },
     /// A compact binary stream with a wrong magic or unsupported version.
     BadHeader(String),
     /// A compact binary payload that failed structural validation.
@@ -83,6 +100,10 @@ impl fmt::Display for ParseGraphError {
             ParseGraphError::VertexOutOfRange { line, vertex, n } => {
                 write!(f, "line {line}: vertex {vertex} out of range (n = {n})")
             }
+            ParseGraphError::TooLarge { line, n } => write!(
+                f,
+                "line {line}: {n} vertices exceed the limit of {MAX_TEXT_VERTICES}"
+            ),
             ParseGraphError::BadHeader(why) => write!(f, "bad compact header: {why}"),
             ParseGraphError::Corrupt(e) => write!(f, "corrupt compact payload: {e}"),
         }
@@ -218,8 +239,11 @@ fn read_text<B: TextBuilder>(
                 Grammar::EdgeList => fields.next().and_then(|s| s.parse::<usize>().ok()),
                 Grammar::Dimacs { .. } => fields.find_map(|s| s.parse::<usize>().ok()),
             }
-            .filter(|&n| n <= u32::MAX as usize && header.is_none())
+            .filter(|_| header.is_none())
             .ok_or_else(bad)?;
+            if n > MAX_TEXT_VERTICES {
+                return Err(ParseGraphError::TooLarge { line, n });
+            }
             header = Some((n, flush(std::mem::take(&mut pending), n, line)?));
             continue;
         }
@@ -246,13 +270,13 @@ fn read_text<B: TextBuilder>(
         };
         match &mut header {
             Some((n, b)) => b.add(in_range(u, *n, line)?, in_range(v, *n, line)?, w),
-            // Buffered until `n = max id + 1` is known, which must fit u32.
+            // Buffered until `n = max id + 1` is known.
             None => {
-                let fit = |x: usize| u32::try_from(x).ok().filter(|&x| x < u32::MAX);
-                let (Some(u), Some(v)) = (fit(u), fit(v)) else {
-                    return Err(bad());
-                };
-                pending.push((u, v, w));
+                let n = u.max(v).saturating_add(1);
+                if n > MAX_TEXT_VERTICES {
+                    return Err(ParseGraphError::TooLarge { line, n });
+                }
+                pending.push((u as u32, v as u32, w));
             }
         }
     }
@@ -541,26 +565,48 @@ mod tests {
 
     #[test]
     fn malformed_line_is_reported() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Want {
+            BadLine,
+            TooLarge,
+        }
         type Read = fn(&str) -> Option<ParseGraphError>;
         let edge_list: Read = |t| read_edge_list(t.as_bytes()).err();
         let weighted: Read = |t| read_weighted_edge_list(t.as_bytes()).err();
         let dimacs: Read = |t| read_dimacs(t.as_bytes()).err();
         let dimacs_sp: Read = |t| read_dimacs_sp(t.as_bytes()).err();
-        // An id before any header that puts `n = max id + 1` past u32.
+        // An id before any header whose `n = max id + 1` passes the limit,
+        // inside and past the u32 range.
         let mut cases = vec![
-            (edge_list, "0 1\n0 5000000000\n", 2),
-            (weighted, "0 1 1\n0 5000000000 1\n", 2),
+            (edge_list, "0 1\n0 5000000000\n", Want::TooLarge, 2),
+            (weighted, "0 4000000000 1\n", Want::TooLarge, 1),
+            (weighted, "0 1 1\n0 5000000000 1\n", Want::TooLarge, 2),
         ];
-        // Every reader: a malformed field, a header past the u32 id range.
-        for read in [edge_list, weighted, dimacs, dimacs_sp] {
-            cases.extend([(read, "0 x\n", 1), (read, "p 5000000000\n", 1)]);
+        // Every reader: a malformed field; the 13-byte `0 4000000000`
+        // (an edge-list id past the limit, a line without its weight or
+        // its DIMACS tag elsewhere); headers past the limit, inside and
+        // past the u32 range.
+        for (read, id_probe) in [
+            (edge_list, Want::TooLarge),
+            (weighted, Want::BadLine),
+            (dimacs, Want::BadLine),
+            (dimacs_sp, Want::BadLine),
+        ] {
+            cases.extend([
+                (read, "0 x\n", Want::BadLine, 1),
+                (read, "0 4000000000\n", id_probe, 1),
+                (read, "p 3000000000\n", Want::TooLarge, 1),
+                (read, "p 5000000000\n", Want::TooLarge, 1),
+            ]);
         }
-        for (read, text, line) in cases {
+        for (read, text, want, line) in cases {
             let err = read(text);
-            assert!(
-                matches!(err, Some(ParseGraphError::BadLine { line: l, .. }) if l == line),
-                "{text:?}: {err:?}"
-            );
+            let got = match err {
+                Some(ParseGraphError::BadLine { line, .. }) => Some((Want::BadLine, line)),
+                Some(ParseGraphError::TooLarge { line, .. }) => Some((Want::TooLarge, line)),
+                _ => None,
+            };
+            assert_eq!(got, Some((want, line)), "{text:?}: {err:?}");
         }
     }
 

@@ -26,7 +26,6 @@
 //!   convention;
 //! * breadth-first search in several flavors ([`bfs`]): depth-limited
 //!   forests with parent tracking and eccentricity;
-//! * exact all-pairs shortest paths ([`apsp`]) used by the stretch audits;
 //! * connectivity utilities ([`connectivity`]);
 //! * an [`EdgeSet`] for accumulating spanner edges and turning them back into
 //!   a [`Graph`].
@@ -45,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apsp;
 pub mod bfs;
 pub mod builder;
 pub mod compact;

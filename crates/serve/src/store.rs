@@ -779,13 +779,15 @@ mod tests {
         assert!(matches!(err, BuildError::InvalidSpec(ref m) if m.contains("path")));
 
         // Missing file, corrupt binary, out-of-range text edge, a header
-        // past the u32 id range, a NASC header claiming a 120 GiB payload
-        // it does not carry: each is a clean InvalidSpec naming the file,
-        // and a failed reload never bumps the epoch.
+        // past the u32 id range, a 13-byte edge list whose one id implies
+        // 4·10^9 vertices, a NASC header claiming a 120 GiB payload it does
+        // not carry: each is a clean InvalidSpec naming the file, and a
+        // failed reload never bumps the epoch.
         let store = Store::open_with_pool(small_spec(), Arc::new(WorkerPool::new(1))).unwrap();
         let corrupt = TempFile::new("corrupt", b"NASC\x01garbage");
         let bad_edge = TempFile::new("bad_edge", b"p 4\n0 9\n");
         let huge_n = TempFile::new("huge_n", b"p 5000000000\n");
+        let huge_id = TempFile::new("huge_id", b"0 4000000000\n");
         let mut claim = b"NASC\x01".to_vec();
         for x in [1u64 << 32, 1 << 32, 0] {
             claim.extend(x.to_le_bytes());
@@ -799,6 +801,7 @@ mod tests {
             corrupt.as_str().to_string(),
             bad_edge.as_str().to_string(),
             huge_n.as_str().to_string(),
+            huge_id.as_str().to_string(),
             huge_claim.as_str().to_string(),
         ] {
             let err = store
