@@ -14,12 +14,6 @@
 //! * [`greedy`] — the greedy `(2κ−1)`-spanner (Althöfer et al.), the
 //!   existential size/stretch yardstick.
 //!
-//! The classical `(2κ−1)` baselines also come in their original
-//! **weighted** forms ([`baswana_sen_weighted`], [`greedy_spanner_weighted`]):
-//! lightest-edge selection and weight-ordered scans over a
-//! [`nas_graph::WeightedGraph`], degenerating exactly to the unweighted
-//! variants on uniform weights.
-//!
 //! All randomness is seeded and deterministic per seed.
 
 #![forbid(unsafe_code)]
@@ -29,6 +23,6 @@ pub mod baswana_sen;
 pub mod en17;
 pub mod greedy;
 
-pub use baswana_sen::{baswana_sen, baswana_sen_weighted};
+pub use baswana_sen::baswana_sen;
 pub use en17::{build_en17_centralized, build_en17_distributed, En17Params, En17Result};
-pub use greedy::{greedy_spanner, greedy_spanner_weighted};
+pub use greedy::greedy_spanner;

@@ -51,10 +51,11 @@
 //! restricts every leg (flood, spanner, audit) to the workloads whose
 //! generator-slug name starts with one of the listed prefixes; the default
 //! runs all of them. Every run appends a machine-readable record to
-//! `BENCH_sim.json` (written at exit), the start of the perf trajectory the
-//! harness tracks. Spanner records carry a `phases` array (name, rounds,
-//! wall_ms per protocol phase), the fast-forward scheduler's
-//! `skipped_rounds`, and the per-node knowledge-table high-water mark
+//! `BENCH_sim.json` (written at exit; a failed write exits non-zero), the
+//! start of the perf trajectory the harness tracks. Spanner records carry
+//! a `phases` array (name, rounds, wall_ms per protocol phase), the
+//! fast-forward scheduler's `skipped_rounds`, and the per-node
+//! knowledge-table high-water mark
 //! (`knowledge_peak_bytes`); audit records report `null` for the
 //! round/message fields that do not apply to a centralized audit. Every
 //! record samples its own end-of-leg RSS (`leg_rss_mib`, VmRSS) next to
@@ -252,10 +253,11 @@ fn write_bench_json(records: &[Record]) {
         .map(|r| format!("  {}", r.to_json()))
         .collect();
     let json = format!("[\n{}\n]\n", body.join(",\n"));
-    match std::fs::write("BENCH_sim.json", &json) {
-        Ok(()) => println!("wrote BENCH_sim.json ({} records)", records.len()),
-        Err(e) => eprintln!("warning: could not write BENCH_sim.json: {e}"),
+    if let Err(e) = std::fs::write("BENCH_sim.json", &json) {
+        eprintln!("sim_scaling: could not write BENCH_sim.json: {e}");
+        std::process::exit(1);
     }
+    println!("wrote BENCH_sim.json ({} records)", records.len());
 }
 
 /// The adjacency a flood leg reads from: a borrowed flat graph, or an

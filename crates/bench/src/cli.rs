@@ -135,19 +135,18 @@ impl BenchCli {
 
     /// Sizes the process-wide worker pool to [`BenchCli::threads`] — call
     /// once, before anything touches the global pool — and returns the lane
-    /// count. Warns (without failing) when the pool was already frozen at a
-    /// different size.
+    /// count the pool has (`--threads 0` gets one lane). Warns (without
+    /// failing) when the pool was already frozen at a different size.
     pub fn init_pool(&self) -> usize {
         let threads = self.threads();
         if let Err(frozen) = nas_par::init_global(threads) {
-            if frozen != threads {
+            if frozen != threads.max(1) {
                 eprintln!(
                     "warning: global pool already sized to {frozen} lanes; --threads {threads} ignored"
                 );
-                return frozen;
             }
         }
-        threads
+        nas_par::global().threads()
     }
 }
 

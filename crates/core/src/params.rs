@@ -220,10 +220,11 @@ impl Params {
         let c = self.ruling_c();
         let nf = n as f64;
 
-        let mut delta = Vec::with_capacity(ell + 1);
-        let mut r_bound = Vec::with_capacity(ell + 2);
-        let mut deg = Vec::with_capacity(ell + 1);
-        r_bound.push(0u64);
+        // No capacity from `ell`: it grows linearly in κ when ρ is near
+        // 1/κ, while δ passes `MAX_DELTA` within a few phases for any κ.
+        let mut delta = Vec::new();
+        let mut r_bound = vec![0u64];
+        let mut deg = Vec::new();
         for i in 0..=ell {
             let eps_pow = (1.0 / eps).powi(i as i32);
             let d = eps_pow.ceil() as u64 + 2 * r_bound[i];
@@ -539,6 +540,22 @@ mod tests {
             Err(ParamError::ScheduleOverflow { .. }) => {}
             other => panic!("expected overflow, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn absurd_kappa_overflows_without_sizing_by_ell() {
+        // A valid point (ρ ≥ 1/κ) with ℓ above 3·10^9 phases: the
+        // schedule must fail at phase 1 rather than reserve ℓ slots.
+        let p = Params::practical(1.0, 4_000_000_000, 3e-10);
+        assert!(p.validate().is_ok());
+        assert!(p.ell() > 3_000_000_000);
+        assert_eq!(
+            p.schedule(100),
+            Err(ParamError::ScheduleOverflow {
+                phase: 1,
+                delta: 13_333_333_337
+            })
+        );
     }
 
     #[test]

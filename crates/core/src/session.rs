@@ -373,10 +373,12 @@ impl Report {
     }
 
     /// Materializes the spanner as a **weighted** graph, each edge
-    /// inheriting its weight from `parent` — the graph the run's input
-    /// skeleton came from (see [`Session::on_weighted`]). Pair the result
-    /// with `nas_metrics`'s weighted audits to measure multiplicative
-    /// stretch over weighted distances.
+    /// inheriting its weight from `parent` — the weighted graph whose
+    /// skeleton ([`WeightedGraph::graph`]) the run was built on. The
+    /// construction never reads weights; pair the result with
+    /// `nas_metrics`'s weighted audits to measure what the same edge set
+    /// achieves as a multiplicative spanner over weighted distances (an
+    /// empirical figure: the `(1+ε, β)` guarantee is for hop distances).
     ///
     /// # Panics
     ///
@@ -622,24 +624,6 @@ impl<'g> Session<'g, 'static> {
             fast_forward: true,
             observer: None,
         }
-    }
-
-    /// Starts configuring a run on a **weighted** graph.
-    ///
-    /// The construction is *weight-agnostic*: the paper's algorithm is
-    /// stated for unweighted graphs, so the run operates on `graph`'s
-    /// unweighted skeleton ([`WeightedGraph::graph`]) and the weights play
-    /// no role in which edges are selected. What the weighted entry point
-    /// buys is the audit contract: the resulting edge set can be
-    /// materialized back onto the parent's weights with
-    /// [`Report::to_weighted_graph`] and measured against **weighted**
-    /// distances (`nas-metrics`' `stretch_audit_weighted` family). The
-    /// near-additive guarantee `(1+ε, β)` is proven for hop distances
-    /// only; the weighted audit reports what the same edge set achieves as
-    /// a multiplicative spanner of the weighted graph — an empirical
-    /// figure, not a theorem.
-    pub fn on_weighted(graph: &'g WeightedGraph) -> Self {
-        Session::on(graph.graph())
     }
 }
 

@@ -38,14 +38,6 @@ impl BfsForest {
         }
         Some(path)
     }
-
-    /// Iterator over the tree edges `(child, parent)` of the forest.
-    pub fn tree_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter_map(|(v, p)| p.map(|p| (v, p as usize)))
-    }
 }
 
 /// Multi-source BFS to an optional depth limit, recording parents and roots.
@@ -164,15 +156,6 @@ mod tests {
         assert_eq!(f.root[7], Some(8));
         // Midpoint ties break to smaller root.
         assert_eq!(f.root[4], Some(0));
-    }
-
-    #[test]
-    fn tree_edges_count_matches_reached() {
-        let g = generators::grid2d(4, 4);
-        let f = bfs_forest(&g, [0, 15], None);
-        let reached = f.dist.iter().filter(|d| d.is_some()).count();
-        // Forest on `reached` vertices with 2 roots has reached-2 edges.
-        assert_eq!(f.tree_edges().count(), reached - 2);
     }
 
     #[test]

@@ -511,11 +511,6 @@ impl CompactGraph {
         (self.data.len() + self.samples.len() * 8) as f64 / (2 * self.m) as f64
     }
 
-    /// Total heap bytes held by the store.
-    pub fn heap_bytes(&self) -> usize {
-        self.data.capacity() + self.samples.capacity() * 8
-    }
-
     /// Locates vertex `v`'s block: returns the byte position just past its
     /// degree varint, and the degree.
     #[inline]

@@ -406,13 +406,6 @@ impl DistanceBatch {
         (d != UNREACHED).then_some(d)
     }
 
-    /// Iterator over the rows (raw sentinel slices), in batch order.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[u32]> {
-        // `chunks_exact(0)` panics; an empty batch has no rows to yield.
-        let width = self.width.max(1);
-        self.data.chunks_exact(width)
-    }
-
     fn reset(&mut self, rows: usize, width: usize) {
         self.width = width;
         self.data.clear();
@@ -690,7 +683,6 @@ mod tests {
         let g = generators::path(5);
         let batch = DistanceBatch::from_sources(&g, &[], &pool);
         assert_eq!(batch.rows(), 0);
-        assert_eq!(batch.iter_rows().count(), 0);
 
         let empty = crate::GraphBuilder::new(0).build();
         let batch = DistanceBatch::from_sources(&empty, &[], &pool);

@@ -598,22 +598,6 @@ pub fn weighted_path(n: usize, seed: u64, dist: WeightDist) -> WeightedGraph {
     WeightedGraph::from_graph(path(n), dist, seed ^ WEIGHT_STREAM_SALT)
 }
 
-/// Weighted [`preferential_attachment`]: the same topology as
-/// `preferential_attachment(n, attach, seed)`, with one weight per edge
-/// drawn from `dist` on an independent seeded stream.
-pub fn weighted_preferential_attachment(
-    n: usize,
-    attach: usize,
-    seed: u64,
-    dist: WeightDist,
-) -> WeightedGraph {
-    WeightedGraph::from_graph(
-        preferential_attachment(n, attach, seed),
-        dist,
-        seed ^ WEIGHT_STREAM_SALT,
-    )
-}
-
 #[cfg(test)]
 mod more_generator_tests {
     use super::*;
@@ -675,8 +659,6 @@ mod more_generator_tests {
         let dist = WeightDist::Uniform { lo: 1, hi: 50 };
         let wg = weighted_gnp(60, 0.1, 4, dist);
         assert_eq!(wg.graph(), &gnp(60, 0.1, 4));
-        let wp = weighted_preferential_attachment(50, 3, 2, dist);
-        assert_eq!(wp.graph(), &preferential_attachment(50, 3, 2));
         let wgr = weighted_grid2d(4, 6, 9, dist);
         assert_eq!(wgr.graph(), &grid2d(4, 6));
         let wpa = weighted_path(12, 1, dist);

@@ -1,56 +1,35 @@
-//! Reading and writing graphs in simple interchange formats.
+//! Reading and writing graphs in two interchange formats:
 //!
-//! Five formats are supported:
-//!
-//! * **edge list** — one `u v` pair per line (0-based ids);
-//! * **weighted edge list** — one `u v w` triple per line (0-based ids);
-//! * **DIMACS-like** — `p <n> <m>` header followed by `e u v` lines
-//!   (1-based ids, as customary for DIMACS);
-//! * **DIMACS shortest-path** — `p sp <n> <m>` header followed by
-//!   `a u v w` arc lines (1-based ids), the format of the DIMACS
-//!   shortest-path challenge road graphs. Each undirected edge may appear
-//!   as one arc or both;
+//! * **edge list** — one `u v` pair per line (0-based ids), the text form
+//!   ([`read_edge_list`] / [`write_edge_list`]);
 //! * **compact binary** — a [`CompactGraph`] serialized verbatim
 //!   ([`write_compact`] / [`read_compact`]): a fixed header followed by
 //!   the delta/varint block stream and the sampled offset index. The
 //!   cheapest way to ship a large graph — no re-encoding on either side,
 //!   and the on-disk size equals the in-memory compact footprint.
 //!
-//! These cover the common ways real-world benchmark graphs are shipped, so
-//! the experiment binaries can run on external inputs too. In both weighted
-//! formats parallel edges collapse to the lightest weight.
+//! # The streaming text reader
 //!
-//! # One streaming reader
-//!
-//! The four text formats are two grammars, each with or without a weight
-//! field, and one reader parses them line by line through one reused
-//! buffer:
-//!
-//! * **edge list** — `#` comments; an optional `p <n>` header anywhere,
-//!   and `n = max id + 1` without one;
-//! * **DIMACS** — `c` and `#` comments; the `p` header comes first, and
-//!   `n` is the first number after `p`.
-//!
-//! With a header, edges flow straight into the graph builder; edge-list
-//! lines before one are buffered as `u32` triples until `n` is known, so
-//! peak memory is the builder's edge buffer, never the file. Errors carry
-//! their 1-based line number. A second header is
+//! [`read_edge_list`] parses line by line through one reused buffer:
+//! `#` comments; an optional `p <n>` header anywhere, and `n = max id + 1`
+//! without one. With a header, edges flow straight into the graph
+//! builder; lines before one are buffered as `u32` pairs until `n` is
+//! known, so peak memory is the builder's edge buffer, never the file.
+//! Errors carry their 1-based line number. A second header is
 //! [`ParseGraphError::BadLine`]; a header's `n`, or the `max id + 1` of a
 //! line before any header, above [`MAX_TEXT_VERTICES`] is
 //! [`ParseGraphError::TooLarge`], checked before anything is sized; an id
-//! outside a declared header is [`ParseGraphError::VertexOutOfRange`], as
-//! the line wrote it.
+//! outside a declared header is [`ParseGraphError::VertexOutOfRange`].
 
 use crate::builder::GraphBuilder;
 use crate::compact::{CompactError, CompactGraph};
 use crate::graph::Graph;
-use crate::weighted::{WeightedGraph, WeightedGraphBuilder};
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 
 /// The most vertices a text graph may declare or imply: 2^27, above every
 /// graph the repository builds (the largest is the 10^7-vertex grid). The
-/// text readers size the graph from `n` before reading its edges, so a
+/// text reader sizes the graph from `n` before reading its edges, so a
 /// larger claim is [`ParseGraphError::TooLarge`] rather than an allocation
 /// that could abort the process.
 pub const MAX_TEXT_VERTICES: usize = 1 << 27;
@@ -132,88 +111,36 @@ impl From<CompactError> for ParseGraphError {
     }
 }
 
-/// The line grammar of a text format (see the module docs). A DIMACS
-/// grammar names its edge-line tag, and what such a line is for errors.
-#[derive(Clone, Copy)]
-enum Grammar {
-    EdgeList,
-    Dimacs {
-        tag: &'static str,
-        what: &'static str,
-    },
-}
-
-/// A graph builder the text reader fills.
-trait TextBuilder {
-    /// The graph it builds.
-    type Graph;
-    /// Whether every edge line carries a weight field.
-    const WEIGHTED: bool;
-    /// A builder for `n` vertices with room for `m` edges.
-    fn sized(n: usize, m: usize) -> Self;
-    /// Adds a range-checked edge (`w` is 0 when unweighted).
-    fn add(&mut self, u: u32, v: u32, w: u32);
-    /// Builds the graph.
-    fn finish(&self) -> Self::Graph;
-}
-
-impl TextBuilder for GraphBuilder {
-    type Graph = Graph;
-    const WEIGHTED: bool = false;
-    fn sized(n: usize, m: usize) -> Self {
-        GraphBuilder::with_capacity(n, m)
-    }
-    fn add(&mut self, u: u32, v: u32, _: u32) {
-        self.add_edge(u as usize, v as usize);
-    }
-    fn finish(&self) -> Graph {
-        self.build()
-    }
-}
-
-impl TextBuilder for WeightedGraphBuilder {
-    type Graph = WeightedGraph;
-    const WEIGHTED: bool = true;
-    fn sized(n: usize, m: usize) -> Self {
-        WeightedGraphBuilder::with_capacity(n, m)
-    }
-    fn add(&mut self, u: u32, v: u32, w: u32) {
-        self.add_edge(u as usize, v as usize, w);
-    }
-    fn finish(&self) -> WeightedGraph {
-        self.build()
-    }
-}
-
-/// Parses a text graph in `grammar` into `B`'s graph (see the module docs).
-fn read_text<B: TextBuilder>(
-    mut reader: impl BufRead,
-    grammar: Grammar,
-) -> Result<B::Graph, ParseGraphError> {
-    let (comment, base) = match grammar {
-        Grammar::EdgeList => ('#', 0),
-        Grammar::Dimacs { .. } => ('c', 1),
+/// Parses an edge-list graph (0-based ids; see the module docs).
+///
+/// Lines: `u v` pairs; blank lines and `#` comments ignored; an optional
+/// `p <n>` line pins the vertex count.
+///
+/// # Errors
+///
+/// Returns [`ParseGraphError`] on I/O failures or malformed content.
+pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<Graph, ParseGraphError> {
+    // The id `x` that `line` wrote, checked against a header's `n`.
+    let in_range = |x: usize, n: usize, line: usize| {
+        if x < n {
+            Ok(x)
+        } else {
+            Err(ParseGraphError::VertexOutOfRange { line, vertex: x, n })
+        }
     };
-    // The 0-based id of `x`, as `line` wrote it, under a header for `n`.
-    let in_range = |x: usize, n: usize, line: usize| match x - base {
-        id if id < n => Ok(id as u32),
-        _ => Err(ParseGraphError::VertexOutOfRange { line, vertex: x, n }),
-    };
-    // A builder for `n` holding the edges read before the header on `line`
-    // (only an edge list has any).
-    let flush = |pending: Vec<(u32, u32, u32)>, n: usize, line: usize| {
-        let mut b = B::sized(n, pending.len());
-        for (u, v, w) in pending {
-            b.add(
+    // A builder for `n` holding the edges read before the header on `line`.
+    let flush = |pending: Vec<(u32, u32)>, n: usize, line: usize| {
+        let mut b = GraphBuilder::with_capacity(n, pending.len());
+        for (u, v) in pending {
+            b.add_edge(
                 in_range(u as usize, n, line)?,
                 in_range(v as usize, n, line)?,
-                w,
             );
         }
-        Ok::<B, ParseGraphError>(b)
+        Ok::<GraphBuilder, ParseGraphError>(b)
     };
     let mut pending = Vec::new();
-    let mut header: Option<(usize, B)> = None;
+    let mut header: Option<(usize, GraphBuilder)> = None;
     // One buffer for the whole stream: the allocation per line of
     // `BufRead::lines` is what kept the old readers from scaling.
     let mut buf = String::new();
@@ -225,7 +152,7 @@ fn read_text<B: TextBuilder>(
         }
         line += 1;
         let t = buf.trim();
-        if t.is_empty() || t.starts_with(['#', comment]) {
+        if t.is_empty() || t.starts_with('#') {
             continue;
         }
         let bad = || ParseGraphError::BadLine {
@@ -233,73 +160,43 @@ fn read_text<B: TextBuilder>(
             content: t.to_string(),
         };
         let mut fields = t.split_whitespace();
+        let id = |s: Option<&str>| s?.parse::<usize>().ok();
         let head = fields.next();
         if head == Some("p") {
-            let n = match grammar {
-                Grammar::EdgeList => fields.next().and_then(|s| s.parse::<usize>().ok()),
-                Grammar::Dimacs { .. } => fields.find_map(|s| s.parse::<usize>().ok()),
-            }
-            .filter(|_| header.is_none())
-            .ok_or_else(bad)?;
+            let n = id(fields.next())
+                .filter(|_| header.is_none())
+                .ok_or_else(bad)?;
             if n > MAX_TEXT_VERTICES {
                 return Err(ParseGraphError::TooLarge { line, n });
             }
             header = Some((n, flush(std::mem::take(&mut pending), n, line)?));
             continue;
         }
-        let u = match grammar {
-            Grammar::EdgeList => head,
-            Grammar::Dimacs { tag, .. } if head != Some(tag) => return Err(bad()),
-            Grammar::Dimacs { what, .. } if header.is_none() => {
-                return Err(ParseGraphError::BadLine {
-                    line,
-                    content: format!("{what} before p header"),
-                })
-            }
-            Grammar::Dimacs { .. } => fields.next(),
-        };
-        let id = |s: Option<&str>| s?.parse::<usize>().ok().filter(|&x| x >= base);
-        let (u, v) = (id(u), id(fields.next()));
-        let w = if B::WEIGHTED {
-            fields.next().and_then(|s| s.parse::<u32>().ok())
-        } else {
-            Some(0)
-        };
-        let (Some(u), Some(v), Some(w)) = (u, v, w) else {
+        let (Some(u), Some(v)) = (id(head), id(fields.next())) else {
             return Err(bad());
         };
         match &mut header {
-            Some((n, b)) => b.add(in_range(u, *n, line)?, in_range(v, *n, line)?, w),
+            Some((n, b)) => {
+                b.add_edge(in_range(u, *n, line)?, in_range(v, *n, line)?);
+            }
             // Buffered until `n = max id + 1` is known.
             None => {
                 let n = u.max(v).saturating_add(1);
                 if n > MAX_TEXT_VERTICES {
                     return Err(ParseGraphError::TooLarge { line, n });
                 }
-                pending.push((u as u32, v as u32, w));
+                pending.push((u as u32, v as u32));
             }
         }
     }
     let b = match header {
         Some((_, b)) => b,
         None => {
-            let n = pending.iter().map(|&(u, v, _)| u.max(v) as usize + 1).max();
+            let n = pending.iter().map(|&(u, v)| u.max(v) as usize + 1).max();
             flush(pending, n.unwrap_or(0), line)?
         }
     };
-    Ok(b.finish())
-}
-
-/// Parses an edge-list graph (0-based ids).
-///
-/// Lines: `u v` pairs; blank lines and `#` comments ignored; an optional
-/// `p <n>` line pins the vertex count.
-///
-/// # Errors
-///
-/// Returns [`ParseGraphError`] on I/O failures or malformed content.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseGraphError> {
-    read_text::<GraphBuilder>(reader, Grammar::EdgeList)
+    Ok(b.build())
 }
 
 /// Writes a graph as an edge list with a `p <n>` header.
@@ -311,90 +208,6 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
     writeln!(w, "p {}", g.num_vertices())?;
     for (u, v) in g.edges() {
         writeln!(w, "{u} {v}")?;
-    }
-    Ok(())
-}
-
-/// Parses a DIMACS-like graph: `p <n> <m>` then `e u v` lines (1-based).
-///
-/// # Errors
-///
-/// Returns [`ParseGraphError`] on I/O failures or malformed content.
-pub fn read_dimacs<R: BufRead>(reader: R) -> Result<Graph, ParseGraphError> {
-    read_text::<GraphBuilder>(
-        reader,
-        Grammar::Dimacs {
-            tag: "e",
-            what: "edge",
-        },
-    )
-}
-
-/// Writes a graph in DIMACS format (`p edge n m`, 1-based `e` lines).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_dimacs<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
-    writeln!(w, "p edge {} {}", g.num_vertices(), g.num_edges())?;
-    for (u, v) in g.edges() {
-        writeln!(w, "e {} {}", u + 1, v + 1)?;
-    }
-    Ok(())
-}
-
-/// Parses a weighted edge list (0-based ids).
-///
-/// Lines: `u v w` triples; blank lines and `#` comments ignored; an
-/// optional `p <n>` line pins the vertex count. Parallel edges collapse to
-/// the lightest weight (see [`WeightedGraphBuilder`]).
-///
-/// # Errors
-///
-/// Returns [`ParseGraphError`] on I/O failures or malformed content.
-pub fn read_weighted_edge_list<R: BufRead>(reader: R) -> Result<WeightedGraph, ParseGraphError> {
-    read_text::<WeightedGraphBuilder>(reader, Grammar::EdgeList)
-}
-
-/// Writes a weighted graph as a `u v w` edge list with a `p <n>` header.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_weighted_edge_list<W: Write>(g: &WeightedGraph, mut w: W) -> std::io::Result<()> {
-    writeln!(w, "p {}", g.num_vertices())?;
-    for (u, v, wt) in g.edges_weighted() {
-        writeln!(w, "{u} {v} {wt}")?;
-    }
-    Ok(())
-}
-
-/// Parses a DIMACS shortest-path graph: `p sp <n> <m>` then `a u v w` arc
-/// lines (1-based). Also accepts a plain `p <n> <m>` header.
-///
-/// # Errors
-///
-/// Returns [`ParseGraphError`] on I/O failures or malformed content.
-pub fn read_dimacs_sp<R: BufRead>(reader: R) -> Result<WeightedGraph, ParseGraphError> {
-    read_text::<WeightedGraphBuilder>(
-        reader,
-        Grammar::Dimacs {
-            tag: "a",
-            what: "arc",
-        },
-    )
-}
-
-/// Writes a weighted graph in DIMACS shortest-path format (`p sp n m`,
-/// 1-based `a` lines, one arc per undirected edge).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_dimacs_sp<W: Write>(g: &WeightedGraph, mut w: W) -> std::io::Result<()> {
-    writeln!(w, "p sp {} {}", g.num_vertices(), g.num_edges())?;
-    for (u, v, wt) in g.edges_weighted() {
-        writeln!(w, "a {} {} {}", u + 1, v + 1, wt)?;
     }
     Ok(())
 }
@@ -529,7 +342,6 @@ pub fn read_compact<R: Read>(mut r: R) -> Result<CompactGraph, ParseGraphError> 
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::weighted::WeightDist;
 
     #[test]
     fn edge_list_round_trip() {
@@ -537,15 +349,6 @@ mod tests {
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
         let h = read_edge_list(&buf[..]).unwrap();
-        assert_eq!(g, h);
-    }
-
-    #[test]
-    fn dimacs_round_trip() {
-        let g = generators::grid2d(5, 7);
-        let mut buf = Vec::new();
-        write_dimacs(&g, &mut buf).unwrap();
-        let h = read_dimacs(&buf[..]).unwrap();
         assert_eq!(g, h);
     }
 
@@ -570,37 +373,18 @@ mod tests {
             BadLine,
             TooLarge,
         }
-        type Read = fn(&str) -> Option<ParseGraphError>;
-        let edge_list: Read = |t| read_edge_list(t.as_bytes()).err();
-        let weighted: Read = |t| read_weighted_edge_list(t.as_bytes()).err();
-        let dimacs: Read = |t| read_dimacs(t.as_bytes()).err();
-        let dimacs_sp: Read = |t| read_dimacs_sp(t.as_bytes()).err();
-        // An id before any header whose `n = max id + 1` passes the limit,
-        // inside and past the u32 range.
-        let mut cases = vec![
-            (edge_list, "0 1\n0 5000000000\n", Want::TooLarge, 2),
-            (weighted, "0 4000000000 1\n", Want::TooLarge, 1),
-            (weighted, "0 1 1\n0 5000000000 1\n", Want::TooLarge, 2),
-        ];
-        // Every reader: a malformed field; the 13-byte `0 4000000000`
-        // (an edge-list id past the limit, a line without its weight or
-        // its DIMACS tag elsewhere); headers past the limit, inside and
+        // A malformed field; ids before any header whose `n = max id + 1`
+        // passes the limit, inside and past the u32 range (the 13-byte
+        // `0 4000000000` among them); headers past the limit, inside and
         // past the u32 range.
-        for (read, id_probe) in [
-            (edge_list, Want::TooLarge),
-            (weighted, Want::BadLine),
-            (dimacs, Want::BadLine),
-            (dimacs_sp, Want::BadLine),
+        for (text, want, line) in [
+            ("0 x\n", Want::BadLine, 1),
+            ("0 1\n0 5000000000\n", Want::TooLarge, 2),
+            ("0 4000000000\n", Want::TooLarge, 1),
+            ("p 3000000000\n", Want::TooLarge, 1),
+            ("p 5000000000\n", Want::TooLarge, 1),
         ] {
-            cases.extend([
-                (read, "0 x\n", Want::BadLine, 1),
-                (read, "0 4000000000\n", id_probe, 1),
-                (read, "p 3000000000\n", Want::TooLarge, 1),
-                (read, "p 5000000000\n", Want::TooLarge, 1),
-            ]);
-        }
-        for (read, text, want, line) in cases {
-            let err = read(text);
+            let err = read_edge_list(text.as_bytes()).err();
             let got = match err {
                 Some(ParseGraphError::BadLine { line, .. }) => Some((Want::BadLine, line)),
                 Some(ParseGraphError::TooLarge { line, .. }) => Some((Want::TooLarge, line)),
@@ -622,99 +406,8 @@ mod tests {
     }
 
     #[test]
-    fn dimacs_accepts_comments_and_edge_keyword() {
-        let text = "c hello\np edge 4 2\ne 1 2\ne 3 4\n";
-        let g = read_dimacs(text.as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 4);
-        assert_eq!(g.num_edges(), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(2, 3));
-    }
-
-    #[test]
-    fn dimacs_rejects_edge_before_header() {
-        assert!(read_dimacs("e 1 2\n".as_bytes()).is_err());
-        // A second header would drop the edges read under the first.
-        let err = read_dimacs("p edge 3 1\ne 1 2\np edge 5 1\ne 3 4\n".as_bytes()).unwrap_err();
-        assert!(
-            matches!(err, ParseGraphError::BadLine { line: 3, .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn empty_inputs() {
         assert_eq!(read_edge_list("".as_bytes()).unwrap().num_vertices(), 0);
-        assert_eq!(read_dimacs("".as_bytes()).unwrap().num_vertices(), 0);
-        assert_eq!(
-            read_weighted_edge_list("".as_bytes())
-                .unwrap()
-                .num_vertices(),
-            0
-        );
-        assert_eq!(read_dimacs_sp("".as_bytes()).unwrap().num_vertices(), 0);
-    }
-
-    #[test]
-    fn weighted_edge_list_round_trip() {
-        let g = WeightedGraph::from_graph(
-            generators::gnp(40, 0.15, 3),
-            WeightDist::Uniform { lo: 0, hi: 9 },
-            5,
-        );
-        let mut buf = Vec::new();
-        write_weighted_edge_list(&g, &mut buf).unwrap();
-        let h = read_weighted_edge_list(&buf[..]).unwrap();
-        assert_eq!(g, h);
-    }
-
-    #[test]
-    fn dimacs_sp_round_trip() {
-        let g = WeightedGraph::from_graph(
-            generators::grid2d(5, 7),
-            WeightDist::Uniform { lo: 1, hi: 100 },
-            8,
-        );
-        let mut buf = Vec::new();
-        write_dimacs_sp(&g, &mut buf).unwrap();
-        let h = read_dimacs_sp(&buf[..]).unwrap();
-        assert_eq!(g, h);
-    }
-
-    #[test]
-    fn weighted_edge_list_parses_headers_and_comments() {
-        let text = "# weighted\np 6\n0 1 4\n\n1 2 0\n";
-        let g = read_weighted_edge_list(text.as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 6);
-        assert_eq!(g.edge_weight(0, 1), Some(4));
-        assert_eq!(g.edge_weight(1, 2), Some(0));
-    }
-
-    #[test]
-    fn weighted_edge_list_requires_weight_field() {
-        let err = read_weighted_edge_list("0 1\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, ParseGraphError::BadLine { line: 1, .. }));
-    }
-
-    #[test]
-    fn dimacs_sp_accepts_sp_header_and_parallel_arcs() {
-        let text = "c road graph\np sp 4 2\na 1 2 9\na 2 1 5\na 3 4 2\n";
-        let g = read_dimacs_sp(text.as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 4);
-        assert_eq!(g.num_edges(), 2);
-        // Parallel arcs collapse to the lightest weight.
-        assert_eq!(g.edge_weight(0, 1), Some(5));
-        assert_eq!(g.edge_weight(2, 3), Some(2));
-    }
-
-    #[test]
-    fn dimacs_sp_rejects_arc_before_header() {
-        assert!(read_dimacs_sp("a 1 2 3\n".as_bytes()).is_err());
-        let err = read_dimacs_sp("p sp 3 1\na 1 2 1\np sp 5 1\na 3 4 1\n".as_bytes()).unwrap_err();
-        assert!(
-            matches!(err, ParseGraphError::BadLine { line: 3, .. }),
-            "{err}"
-        );
     }
 
     #[test]
@@ -820,18 +513,5 @@ mod tests {
         );
         // A duplicate header is malformed.
         assert!(read_edge_list("p 3\np 4\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn dimacs_sp_out_of_range_is_reported() {
-        let err = read_dimacs_sp("p sp 2 1\na 1 5 2\n".as_bytes()).unwrap_err();
-        assert!(matches!(
-            err,
-            ParseGraphError::VertexOutOfRange {
-                vertex: 5,
-                n: 2,
-                ..
-            }
-        ));
     }
 }

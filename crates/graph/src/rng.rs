@@ -77,19 +77,6 @@ impl SplitMix64 {
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.next_index(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
-    /// Derives an independent child generator (for splitting streams).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -134,16 +121,6 @@ mod tests {
             let x = g.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut g = SplitMix64::new(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        g.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

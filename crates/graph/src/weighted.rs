@@ -109,8 +109,8 @@ impl fmt::Display for WeightDist {
 ///
 /// The topology is an ordinary CSR [`Graph`]; the weights are a parallel
 /// array over the arc indices (see the module docs). Construction goes
-/// through [`WeightedGraphBuilder`], [`WeightedGraph::from_graph`] /
-/// [`WeightedGraph::uniform`], or the weighted I/O in [`crate::io`].
+/// through [`WeightedGraphBuilder`] or [`WeightedGraph::from_graph`] /
+/// [`WeightedGraph::uniform`].
 ///
 /// # Example
 ///
@@ -208,11 +208,6 @@ impl WeightedGraph {
         &self.graph
     }
 
-    /// Consumes the weighted graph, returning the bare topology.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -295,11 +290,6 @@ impl WeightedGraph {
     #[inline]
     pub fn max_weight(&self) -> u32 {
         self.max_weight
-    }
-
-    /// Sum of all edge weights (each undirected edge counted once).
-    pub fn weight_sum(&self) -> u64 {
-        self.weights.iter().map(|&w| w as u64).sum::<u64>() / 2
     }
 
     /// Iterator over all undirected edges as `(u, v, w)` with `u < v`, in
@@ -408,15 +398,6 @@ impl WeightedGraphBuilder {
         WeightedGraphBuilder {
             n,
             edges: Vec::new(),
-        }
-    }
-
-    /// Creates a builder with pre-allocated capacity for `m` edges.
-    pub fn with_capacity(n: usize, m: usize) -> Self {
-        assert!(n <= u32::MAX as usize, "vertex count exceeds u32 range");
-        WeightedGraphBuilder {
-            n,
-            edges: Vec::with_capacity(m),
         }
     }
 
@@ -559,7 +540,6 @@ mod tests {
     fn max_weight_and_sum() {
         let g = weighted_triangle();
         assert_eq!(g.max_weight(), 5);
-        assert_eq!(g.weight_sum(), 3 + 5 + 1);
         assert_eq!(g.arc_weights().len(), g.graph().degree_sum());
     }
 

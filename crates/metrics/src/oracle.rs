@@ -75,9 +75,8 @@ enum Plane {
 /// all-pairs audit use [`crate::stretch_audit`] instead.
 ///
 /// A weighted oracle's delta-stepping bucket width is fixed at
-/// construction — [`auto_delta`] by default, or an explicit width via
-/// [`with_delta`](SpannerOracle::with_delta) — so every query against one
-/// oracle is a pure function of `(spanner, source)`.
+/// construction by [`auto_delta`], so every query against one oracle is a
+/// pure function of `(spanner, source)`.
 #[derive(Debug, Clone)]
 pub struct SpannerOracle {
     plane: Plane,
@@ -102,21 +101,9 @@ impl SpannerOracle {
     /// distances, with the bucket width picked by [`auto_delta`] (unit
     /// weights degenerate to Dial's `Δ = 1`).
     pub fn weighted(spanner: WeightedGraph) -> Self {
-        let delta = auto_delta(&spanner);
-        Self::with_delta(spanner, delta)
-    }
-
-    /// [`weighted`](SpannerOracle::weighted) with an explicit
-    /// delta-stepping bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta == 0`.
-    pub fn with_delta(spanner: WeightedGraph, delta: u32) -> Self {
-        assert!(delta >= 1, "delta must be at least 1");
         Self::over(Plane::Weighted {
+            delta: auto_delta(&spanner),
             graph: spanner,
-            delta,
             scratch: SsspScratch::new(),
             batch: SsspBatchScratch::new(),
         })
@@ -472,13 +459,6 @@ mod tests {
                 "source {s}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "delta must be at least 1")]
-    fn weighted_oracle_rejects_zero_delta() {
-        let g = nas_graph::WeightedGraph::uniform(generators::path(3), 1);
-        SpannerOracle::with_delta(g, 0);
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl DistanceBucket {
     pub fn max_stretch(&self) -> f64 {
         self.max_spanner_dist as f64 / self.dist as f64
     }
-
-    /// Worst additive surplus over `(1+ε)·d` within the bucket.
-    pub fn additive_surplus(&self, eps: f64) -> f64 {
-        self.max_spanner_dist as f64 - (1.0 + eps) * self.dist as f64
-    }
 }
 
 /// The result of a stretch audit.

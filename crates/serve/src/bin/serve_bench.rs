@@ -4,7 +4,8 @@
 //! plane — each with a fixed number of keep-alive connections hammering
 //! the daemon for a fixed duration, and records per-request latency
 //! percentiles (p50/p95/p99) and throughput (requests/s and pairs/s) into
-//! `BENCH_serve.json`.
+//! `BENCH_serve.json` in the working directory (a failed write exits
+//! non-zero).
 //!
 //! Usage: `serve_bench [--addr HOST:PORT] [--connections C]
 //!                     [--duration-secs D] [--batch-size B]
@@ -289,8 +290,9 @@ fn main() {
         .map(|r| format!("  {}", r.to_json()))
         .collect();
     let json = format!("[\n{}\n]\n", body.join(",\n"));
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("wrote BENCH_serve.json ({} records)", results.len()),
-        Err(e) => eprintln!("warning: could not write BENCH_serve.json: {e}"),
+    if let Err(e) = std::fs::write("BENCH_serve.json", &json) {
+        eprintln!("serve_bench: could not write BENCH_serve.json: {e}");
+        std::process::exit(1);
     }
+    println!("wrote BENCH_serve.json ({} records)", results.len());
 }

@@ -131,8 +131,28 @@ impl BuildSpec {
     /// synthetic families, streamed off disk for [`Workload::File`]. A
     /// size the generator cannot build (a torus side below 3, or no more
     /// vertices than preferential-attachment edges per vertex) is an
-    /// [`BuildError::InvalidSpec`], not a panic.
+    /// [`BuildError::InvalidSpec`], not a panic, and so is a size above
+    /// the limit text files have ([`nas_graph::io::MAX_TEXT_VERTICES`]):
+    /// `n` for every synthetic family, and for `gnp` and `pref_attach`
+    /// also the expected edge count `n·deg/2` their edge buffers are
+    /// sized from. Both are checked before anything is generated.
     pub fn build_graph(&self) -> Result<Graph, BuildError> {
+        let limit = nas_graph::io::MAX_TEXT_VERTICES;
+        if self.workload != Workload::File && self.n > limit {
+            return Err(BuildError::InvalidSpec(format!(
+                "n = {} exceeds the limit of {limit} vertices",
+                self.n
+            )));
+        }
+        let edges = self.n.saturating_mul(self.deg) / 2;
+        if matches!(self.workload, Workload::Gnp | Workload::PrefAttach) && edges > limit {
+            return Err(BuildError::InvalidSpec(format!(
+                "{} with n = {} and deg = {} expects {edges} edges, above the limit of {limit}",
+                self.workload.name(),
+                self.n,
+                self.deg
+            )));
+        }
         let side = (self.n as f64).sqrt().round().max(2.0) as usize;
         let attach = (self.deg / 2).max(1);
         let too_small = |need: String| {
@@ -641,15 +661,31 @@ mod tests {
         // The retained pre-swap Arc still answers — identically.
         assert_eq!(old.epoch, 1);
         assert_eq!(old.distance(0, 7, QueryMode::Both).unwrap(), before);
-        // Failed rebuilds leave the store untouched.
-        let err = store
-            .rebuild(BuildSpec {
-                n: 1,
-                ..small_spec()
-            })
-            .unwrap_err();
-        assert!(matches!(err, BuildError::InvalidSpec(_)));
-        assert_eq!(store.epoch(), 2);
+        // Failed rebuilds leave the store untouched: a graph too small to
+        // serve, and sizes past the limit whose edge buffers alone would
+        // take 32 GB (path), 160 GB (`gnp` with `deg ≥ n` is `complete`)
+        // and 40 GB (pref_attach).
+        let limit = nas_graph::io::MAX_TEXT_VERTICES.to_string();
+        for (workload, n, deg, names_limit) in [
+            (Workload::Gnp, 1, 8, false),
+            (Workload::Path, 4_000_000_000, 8, true),
+            (Workload::Gnp, 200_000, 400_000, true),
+            (Workload::PrefAttach, 100_000_000, 100, true),
+        ] {
+            let err = store
+                .rebuild(BuildSpec {
+                    workload,
+                    n,
+                    deg,
+                    ..small_spec()
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, BuildError::InvalidSpec(ref m) if m.contains(&limit) == names_limit),
+                "{workload:?} n = {n} deg = {deg}: {err}"
+            );
+            assert_eq!(store.epoch(), 2);
+        }
     }
 
     #[test]

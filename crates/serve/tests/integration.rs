@@ -117,7 +117,8 @@ fn errors_are_structured_not_fatal() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     // 404, 405, missing params, out-of-range vertex, bad JSON, unknown
-    // rebuild field, a κ past u32, graphs too small for their generator —
+    // rebuild field, a κ past u32, graphs too small for their generator,
+    // a valid κ whose schedule overflows, sizes past the vertex limit —
     // all structured, all leave the daemon serving.
     assert_eq!(client.get("/nope").expect("404").status, 404);
     assert_eq!(client.post("/distance", "{}").expect("405").status, 405);
@@ -148,9 +149,20 @@ fn errors_are_structured_not_fatal() {
     for body in [
         r#"{"workload":"torus","n":4}"#,
         r#"{"workload":"pref_attach","n":10,"deg":40}"#,
+        r#"{"kappa":4000000000,"rho":3e-10}"#,
     ] {
-        let resp = client.post("/rebuild", body).expect("too small");
+        let resp = client.post("/rebuild", body).expect("rejected spec");
         assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+    }
+    let limit = nas_graph::io::MAX_TEXT_VERTICES.to_string();
+    for body in [
+        r#"{"workload":"path","n":4000000000}"#,
+        r#"{"workload":"gnp","n":200000,"deg":400000}"#,
+        r#"{"workload":"pref_attach","n":100000000,"deg":100}"#,
+    ] {
+        let resp = client.post("/rebuild", body).expect("past the limit");
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        assert!(resp.body.contains(&limit), "{body}: {}", resp.body);
     }
     // A failed rebuild must not bump the epoch.
     let health = client.get("/health").expect("health");

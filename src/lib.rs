@@ -6,7 +6,7 @@
 //!
 //! * [`graph`] — CSR graphs, deterministic generators, the flat distance
 //!   plane ([`graph::dist`]: dense `u32` rows, reusable scratch, pooled
-//!   batch BFS), APSP, I/O;
+//!   batch BFS), the weighted plane, edge-list and compact-binary I/O;
 //! * [`congest`] — the synchronous CONGEST-model simulator;
 //! * [`ruling`] — deterministic `(q+1, cq)`-ruling sets (Theorem 2.2);
 //! * [`core`] — the spanner construction itself (three backends plus a

@@ -1,7 +1,7 @@
-//! End-to-end tests of the weighted distance plane: weighted input through
-//! the `Session` surface, weight inheritance back onto the spanner, and
-//! the weighted audit family agreeing with the unweighted one when the
-//! weights carry no information.
+//! End-to-end tests of the weighted distance plane: a weighted graph's
+//! skeleton through the `Session` surface, weight inheritance back onto
+//! the spanner, and the weighted audit family agreeing with the unweighted
+//! one when the weights carry no information.
 
 use nas_core::{Params, Session};
 use nas_graph::weighted::WeightDist;
@@ -10,14 +10,14 @@ use nas_metrics::{
     stretch_audit, stretch_audit_weighted, stretch_audit_weighted_sampled, SpannerOracle,
 };
 
-/// The full weighted loop: weighted graph → weight-agnostic construction →
+/// The full weighted loop: weighted graph → construction on its skeleton →
 /// weights inherited back → weighted audit. The spanner must preserve
 /// weighted connectivity (it preserves hop connectivity and is a subgraph
 /// on the same vertex set), and every audited figure must be well-formed.
 #[test]
 fn session_to_weighted_audit_round_trip() {
     let g = generators::weighted_gnp(120, 0.06, 7, WeightDist::Uniform { lo: 1, hi: 100 });
-    let report = Session::on_weighted(&g)
+    let report = Session::on(g.graph())
         .params(Params::practical(0.5, 4, 0.45))
         .run()
         .unwrap();
@@ -52,7 +52,7 @@ fn session_to_weighted_audit_round_trip() {
 fn unit_weight_audit_matches_unweighted_audit() {
     let skeleton = generators::connected_gnp(90, 0.07, 21);
     let g = WeightedGraph::uniform(skeleton.clone(), 1);
-    let report = Session::on_weighted(&g).run().unwrap();
+    let report = Session::on(g.graph()).run().unwrap();
     let h = report.to_weighted_graph(&g);
 
     let weighted = stretch_audit_weighted(&g, &h, 0.5);
@@ -63,8 +63,8 @@ fn unit_weight_audit_matches_unweighted_audit() {
     assert_eq!(weighted.disconnected_pairs, plain.disconnected_pairs);
 }
 
-/// `Session::on_weighted` is weight-agnostic by contract: two weight
-/// assignments over the same skeleton select the same edge set.
+/// The construction is weight-agnostic: two weight assignments over the
+/// same skeleton select the same edge set as the bare skeleton.
 #[test]
 fn construction_ignores_weights() {
     let skeleton = generators::connected_gnp(80, 0.08, 3);
@@ -75,8 +75,8 @@ fn construction_ignores_weights() {
         WeightDist::Uniform { lo: 1000, hi: 9000 },
         2,
     );
-    let a = Session::on_weighted(&light).run().unwrap();
-    let b = Session::on_weighted(&heavy).run().unwrap();
+    let a = Session::on(light.graph()).run().unwrap();
+    let b = Session::on(heavy.graph()).run().unwrap();
     let c = Session::on(&skeleton).run().unwrap();
     assert_eq!(a.spanner, b.spanner);
     assert_eq!(a.spanner, c.spanner);
@@ -87,7 +87,7 @@ fn construction_ignores_weights() {
 #[test]
 fn weighted_oracle_over_session_spanner() {
     let g = generators::weighted_grid2d(8, 8, 5, WeightDist::Uniform { lo: 1, hi: 20 });
-    let report = Session::on_weighted(&g).run().unwrap();
+    let report = Session::on(g.graph()).run().unwrap();
     let h = report.to_weighted_graph(&g);
     let mut oracle = SpannerOracle::weighted(h.clone());
     let reference = nas_graph::sssp::dijkstra(&h, [0]);
